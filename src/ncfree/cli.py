@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import mc as mcmod
 from .freeprob import CumulantModel
+from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .opvalued import OperatorMatrix, check_amalgamated_freeness, opvalued_cumulant_generic
 from .oracle import run_suite
 from .rcyclic import (
@@ -321,6 +322,12 @@ def _cmd_rcyclic(args) -> int:
     if order > spec.order:
         print(f"error: --order {order} exceeds spec order {spec.order}", file=sys.stderr)
         return 2
+    if args.action in ("moments", "rtransform") and order > DEFAULT_MAX_GROUND_SET:
+        print(
+            f"error: {args.action} needs order at most {DEFAULT_MAX_GROUND_SET}, got {order}",
+            file=sys.stderr,
+        )
+        return 2
     if args.action == "check":
         ok, witness = is_rcyclic(fam, order)
         if ok:
@@ -388,11 +395,7 @@ def _cmd_opcumulant(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        reports = run_suite(args.suite, args.order)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    reports = run_suite(args.suite, args.order)
     failed = False
     for report in reports:
         print(report.line())
@@ -420,13 +423,9 @@ def _cmd_mc(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    try:
-        cfg = mcmod.McConfig.of(spec.d, radii, args.size, args.trials, args.seed)
-        exact = mcmod.exact_family_moments(cfg, args.max_moment)
-        samples = mcmod.sample_block_moments(cfg, args.max_moment)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = mcmod.McConfig.of(spec.d, radii, args.size, args.trials, args.seed)
+    exact = mcmod.exact_family_moments(cfg, args.max_moment)
+    samples = mcmod.sample_block_moments(cfg, args.max_moment)
     reports = mcmod.compare(cfg, exact, samples)
     by_n = {n: (mean, stderr) for n, mean, stderr in samples}
     failed = False
@@ -499,10 +498,8 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # library ValueErrors (SpecError included) are bad input: usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

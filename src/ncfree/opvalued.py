@@ -21,9 +21,9 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
-from .freeprob import CumulantModel, NcPolynomial, phi_poly, single_generator_form
+from .freeprob import CumulantModel, NcPolynomial, phi_poly
 from .ncpartition import Partition, enumerate_nc, restrict
-from .rcyclic import RCyclicFamily
+from .rcyclic import _chain_letters, _chain_value, _nonzero_chains, _parsed_grids
 
 Word = tuple[int, ...]
 
@@ -284,46 +284,10 @@ def opvalued_cumulant_pi(
     return opvalued_cumulant_pi(reduced, new_xs, algebra, extract)
 
 
-def _parsed_matrices(mats: Sequence[OperatorMatrix]):
-    return [
-        tuple(tuple(single_generator_form(m.rows[i][j]) for j in range(m.d)) for i in range(m.d))
-        for m in mats
-    ]
-
-
-def _chain_value(parsed_chain, model: CumulantModel, pairs: Sequence[tuple[int, int]]) -> Fraction:
-    coeff = _ONE
-    letters = []
-    for parsed, (i, j) in zip(parsed_chain, pairs):
-        ent = parsed[i - 1][j - 1]
-        if ent is None:
-            return _ZERO
-        c, letter = ent
-        coeff *= c
-        letters.append(letter)
-    return coeff * model.table.get(tuple(letters), _ZERO)
-
-
 def bvalued_cumulant_entrywise(mats: Sequence[OperatorMatrix]) -> ScalarMatrix:
     """Cumulant of generator-entry matrices straight from the scalar table:
     the (i, j) entry sums the cumulants of all entry chains from i to j."""
-    mats = list(mats)
-    n = len(mats)
-    d = mats[0].d
-    model = mats[0].model
-    parsed = _parsed_matrices(mats)
-    rows = []
-    for i in range(1, d + 1):
-        row = []
-        for j in range(1, d + 1):
-            acc = _ZERO
-            for inner in itertools.product(range(1, d + 1), repeat=n - 1):
-                chain = (i,) + inner + (j,)
-                pairs = [(chain[t], chain[t + 1]) for t in range(n)]
-                acc += _chain_value(parsed, model, pairs)
-            row.append(acc)
-        rows.append(tuple(row))
-    return ScalarMatrix(d, tuple(rows))
+    return bvalued_cumulant_pi(Partition.whole(len(mats)), mats)
 
 
 def bvalued_cumulant_pi(p: Partition, mats: Sequence[OperatorMatrix]) -> ScalarMatrix:
@@ -335,8 +299,7 @@ def bvalued_cumulant_pi(p: Partition, mats: Sequence[OperatorMatrix]) -> ScalarM
         raise ValueError(f"partition of {p.n} with {n} arguments")
     d = mats[0].d
     model = mats[0].model
-    parsed = _parsed_matrices(mats)
-    table = model.table
+    parsed = _parsed_grids(m.rows for m in mats)
     rows = []
     for i in range(1, d + 1):
         row = []
@@ -344,20 +307,13 @@ def bvalued_cumulant_pi(p: Partition, mats: Sequence[OperatorMatrix]) -> ScalarM
             acc = _ZERO
             for inner in itertools.product(range(1, d + 1), repeat=n - 1):
                 chain = (i,) + inner + (j,)
-                pairs = [(chain[t], chain[t + 1]) for t in range(n)]
                 term = _ONE
                 for block in p.blocks:
-                    coeff = _ONE
-                    letters = []
-                    dead = False
-                    for t in block:
-                        ent = parsed[t - 1][pairs[t - 1][0] - 1][pairs[t - 1][1] - 1]
-                        if ent is None:
-                            dead = True
-                            break
-                        coeff *= ent[0]
-                        letters.append(ent[1])
-                    val = _ZERO if dead else coeff * table.get(tuple(letters), _ZERO)
+                    val = _chain_value(
+                        [parsed[t - 1] for t in block],
+                        model,
+                        [(chain[t - 1], chain[t]) for t in block],
+                    )
                     if not val:
                         term = _ZERO
                         break
@@ -373,31 +329,32 @@ def check_chain_hypothesis(
 ) -> tuple[bool, tuple[Word, int, Word] | None]:
     """Do all almost-cyclic entry chains with a broken closing index vanish?
 
-    Scans cumulants of chains entry(r_1; j, i_1), entry(r_2; i_1, i_2), ...,
+    Looks at cumulants of chains entry(r_1; j, i_1), entry(r_2; i_1, i_2), ...,
     entry(r_n; i_{n-1}, i_n) with j != i_n, over tuples drawn from the given
-    matrices.  Returns (False, (r-word, j, index word)) on the first failure.
+    matrices (r numbers the distinct matrices in order of first appearance).
+    Returns (False, (r-word, j, index word)) on the first failure in
+    (length, r-word, index word, j) order.
     """
     mats = list(mats)
-    d = mats[0].d
-    model = mats[0].model
     distinct: list[OperatorMatrix] = []
     for m in mats:
         if m not in distinct:
             distinct.append(m)
-    parsed = {id(m): grid for m, grid in zip(distinct, _parsed_matrices(distinct))}
-    for n in range(1, order + 1):
-        for combo in itertools.product(range(len(distinct)), repeat=n):
-            chain_parsed = [parsed[id(distinct[t])] for t in combo]
-            for iword in itertools.product(range(1, d + 1), repeat=n):
-                for j in range(1, d + 1):
-                    if j == iword[-1]:
-                        continue
-                    chain = (j,) + iword
-                    pairs = [(chain[t], chain[t + 1]) for t in range(n)]
-                    if _chain_value(chain_parsed, model, pairs):
-                        rword = tuple(t + 1 for t in combo)
-                        return False, (rword, j, iword)
-    return True, None
+    parsed = _parsed_grids(m.rows for m in distinct)
+    best = None
+    for rword, pairs, _ in _nonzero_chains(parsed, mats[0].model, order):
+        n = len(rword)
+        if pairs[0][0] == pairs[-1][1] or any(
+            pairs[t][1] != pairs[t + 1][0] for t in range(n - 1)
+        ):
+            continue
+        key = (n, rword, tuple(j for _, j in pairs), pairs[0][0])
+        if best is None or key < best:
+            best = key
+    if best is None:
+        return True, None
+    _, rword, iword, j = best
+    return False, (rword, j, iword)
 
 
 def dvalued_cumulant(
@@ -426,7 +383,7 @@ def dvalued_cumulant(
         raise ValueError(f"broken-chain cumulant does not vanish; witness {witness}")
     if n == 1:
         return expect_d(mats[0])
-    parsed = _parsed_matrices(mats)
+    parsed = _parsed_grids(m.rows for m in mats)
     diag = [_ZERO] * d
     for iword in itertools.product(range(1, d + 1), repeat=n):
         chain = (iword[-1],) + iword
@@ -449,7 +406,7 @@ def odot(mats: Sequence[OperatorMatrix]):
     mats = list(mats)
     n = len(mats)
     d = mats[0].d
-    parsed = _parsed_matrices(mats)
+    parsed = _parsed_grids(m.rows for m in mats)
     grid = []
     for i in range(1, d + 1):
         row = []
@@ -457,18 +414,10 @@ def odot(mats: Sequence[OperatorMatrix]):
             cell: dict[Word, Fraction] = {}
             for inner in itertools.product(range(1, d + 1), repeat=n - 1):
                 chain = (i,) + inner + (j,)
-                coeff = _ONE
-                letters = []
-                for t in range(n):
-                    ent = parsed[t][chain[t] - 1][chain[t + 1] - 1]
-                    if ent is None:
-                        coeff = _ZERO
-                        break
-                    coeff *= ent[0]
-                    letters.append(ent[1])
-                if coeff:
-                    w = tuple(letters)
-                    cell[w] = cell.get(w, _ZERO) + coeff
+                hit = _chain_letters(parsed, [(chain[t], chain[t + 1]) for t in range(n)])
+                if hit is not None:
+                    c, w = hit
+                    cell[w] = cell.get(w, _ZERO) + c
             row.append(cell)
         grid.append(tuple(row))
     return tuple(grid)
@@ -619,10 +568,3 @@ def dcumulant_data(
                 if val:
                     data[(rword, iword)] = val
     return data
-
-
-def rcyclic_witness_from_dcumulants(
-    data: Mapping[tuple[Word, Word], Fraction], d: int, s: int, order: int
-) -> RCyclicFamily:
-    """Package diagonal-cumulant data as the cyclic table of a witness family."""
-    return RCyclicFamily.of(d, s, order, dict(data))

@@ -12,6 +12,12 @@ which is also the coefficient of z_{r_1,i_1} ... z_{r_n,i_n} in the family's
 determining series.  Convolving that series against the constant-word series
 (and averaging over the diagonal substitution) yields the scalar moments of
 the family; convolving against its companion yields the R-transform.
+
+Recognition and table extraction read the entries as scalar multiples of
+single generators, so a chain's cumulant is its coefficient times the model's
+cumulant of the chain's generator word; the model stores every nonzero
+cumulant in its table, so one walk over the table words finds every chain
+that survives, cyclic or not.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .series import (
     geometric,
     h_series,
     pair_word,
-    scale,
     split_word,
 )
 
@@ -138,68 +143,94 @@ class RCyclicFamily:
         return dict(self.items)
 
 
-def _parsed_entries(fam: MatrixFamily):
+def _parsed_grids(grids):
     # (coefficient, letter) or None per entry; raises on non-generator entries
     return tuple(
-        tuple(tuple(single_generator_form(fam.entry(r, i, j)) for j in range(1, fam.d + 1))
-              for i in range(1, fam.d + 1))
-        for r in range(1, fam.s + 1)
+        tuple(tuple(single_generator_form(p) for p in row) for row in grid) for grid in grids
     )
 
 
-def _chain_cumulant(parsed, model, rword: Word, pairs: Sequence[tuple[int, int]]) -> Fraction:
+def _chain_letters(
+    parsed_chain, pairs: Sequence[tuple[int, int]]
+) -> tuple[Fraction, Word] | None:
+    """Coefficient and generator word of the entry chain, None if an entry is zero."""
     coeff = _ONE
     letters = []
-    for r, (i, j) in zip(rword, pairs):
-        ent = parsed[r - 1][i - 1][j - 1]
+    for grid, (i, j) in zip(parsed_chain, pairs):
+        ent = grid[i - 1][j - 1]
         if ent is None:
-            return _ZERO
-        c, letter = ent
-        coeff *= c
-        letters.append(letter)
-    val = model.table.get(tuple(letters), _ZERO)
-    return coeff * val
+            return None
+        coeff *= ent[0]
+        letters.append(ent[1])
+    return coeff, tuple(letters)
+
+
+def _chain_value(parsed_chain, model: CumulantModel, pairs: Sequence[tuple[int, int]]) -> Fraction:
+    """Scalar cumulant of the entry chain."""
+    hit = _chain_letters(parsed_chain, pairs)
+    if hit is None:
+        return _ZERO
+    return hit[0] * model.table.get(hit[1], _ZERO)
+
+
+def _nonzero_chains(parsed, model: CumulantModel, n_max: int):
+    """Yield (matrix word, ((i_1, j_1), ...), value) for every entry chain of
+    length at most n_max with a nonzero cumulant, walking the model's table
+    once, in table order."""
+    holders: dict[int, list[tuple[int, int, int, Fraction]]] = {}
+    for r, grid in enumerate(parsed, start=1):
+        for i, row in enumerate(grid, start=1):
+            for j, ent in enumerate(row, start=1):
+                if ent is not None:
+                    holders.setdefault(ent[1], []).append((r, i, j, ent[0]))
+    for word, val in model.items:
+        if len(word) > n_max:
+            break
+        for chain in itertools.product(*(holders.get(letter, ()) for letter in word)):
+            coeff = _ONE
+            for ent in chain:
+                coeff *= ent[3]
+            yield (
+                tuple(ent[0] for ent in chain),
+                tuple((ent[1], ent[2]) for ent in chain),
+                coeff * val,
+            )
+
+
+def _scan(fam: MatrixFamily, order: int | None):
+    # Returns (order, cyclic table, first non-cyclic chain or None); the
+    # witness is the least by (length, matrix word, index pattern), the order
+    # in which a scan of every pattern would meet it.
+    n_max = fam.model.order if order is None else order
+    table: dict[TableKey, Fraction] = {}
+    best = None
+    for rword, pairs, val in _nonzero_chains(_parsed_grids(fam.grids), fam.model, n_max):
+        n = len(rword)
+        if all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n)):
+            table[(rword, tuple(j for _, j in pairs))] = val
+        elif best is None or (n, rword, pairs) < best:
+            best = (n, rword, pairs)
+    return n_max, table, None if best is None else best[1:]
 
 
 def is_rcyclic(
     fam: MatrixFamily, order: int | None = None
 ) -> tuple[bool, tuple[Word, tuple[tuple[int, int], ...]] | None]:
-    """Scan every non-cyclic index pattern for a surviving cumulant.
+    """Look for a non-cyclic index pattern with a surviving cumulant.
 
     Returns (True, None) or (False, (matrix word, ((i_1, j_1), ...))) with the
     first violation in (length, matrix word, index pattern) order.
     """
-    n_max = fam.model.order if order is None else order
-    parsed = _parsed_entries(fam)
-    d = fam.d
-    for n in range(1, n_max + 1):
-        for rword in itertools.product(range(1, fam.s + 1), repeat=n):
-            for flat in itertools.product(range(1, d + 1), repeat=2 * n):
-                pairs = tuple((flat[2 * t], flat[2 * t + 1]) for t in range(n))
-                if all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n)):
-                    continue
-                if _chain_cumulant(parsed, fam.model, rword, pairs):
-                    return False, (rword, pairs)
-    return True, None
+    witness = _scan(fam, order)[2]
+    return witness is None, witness
 
 
 def cyclic_family(fam: MatrixFamily, order: int | None = None) -> RCyclicFamily:
     """Read the cyclic table off a family after confirming it is R-cyclic."""
-    ok, witness = is_rcyclic(fam, order)
-    if not ok:
+    n_max, table, witness = _scan(fam, order)
+    if witness is not None:
         raise ValueError(f"family is not R-cyclic; witness {witness}")
-    n_max = fam.model.order if order is None else order
-    parsed = _parsed_entries(fam)
-    d = fam.d
-    table: dict[TableKey, Fraction] = {}
-    for n in range(1, n_max + 1):
-        for rword in itertools.product(range(1, fam.s + 1), repeat=n):
-            for iword in itertools.product(range(1, d + 1), repeat=n):
-                pairs = tuple((iword[t - 1], iword[t]) for t in range(n))
-                val = _chain_cumulant(parsed, fam.model, rword, pairs)
-                if val:
-                    table[(rword, iword)] = val
-    return RCyclicFamily.of(d, fam.s, n_max, table)
+    return RCyclicFamily.of(fam.d, fam.s, n_max, table)
 
 
 def determining_series(obj: RCyclicFamily | MatrixFamily, order: int | None = None) -> Series:
@@ -230,19 +261,6 @@ def family_moments(f: Series, d: int) -> Series:
 def family_rtransform(f: Series, d: int) -> Series:
     """Scalar R-transform of the family with determining series f."""
     return _substituted(ext_boxed_convolve(f, h_series(d, f.order)), d)
-
-
-def projected_series(f: Series, d: int, which: str) -> Series:
-    """Pair-letter moment or cumulant series of the projected entries.
-
-    which = 'moments' pairs f with the constant-word series, which = 'rtransform'
-    with its companion; both are scaled by 1/d and keep the pair alphabet.
-    """
-    if which == "moments":
-        return scale(ext_boxed_convolve(f, geometric(d, f.order)), Fraction(1, d))
-    if which == "rtransform":
-        return scale(ext_boxed_convolve(f, h_series(d, f.order)), Fraction(1, d))
-    raise ValueError(f"which must be 'moments' or 'rtransform', got {which!r}")
 
 
 def partial_sum_rtransform(f: Series, d: int) -> Series:

@@ -34,10 +34,10 @@ from ncfree.opvalued import (
     odot,
     opvalued_cumulant_generic,
     opvalued_cumulant_pi,
-    rcyclic_witness_from_dcumulants,
 )
 from ncfree.oracle import brute_force_family_moments, kreweras_by_search, nc_by_filter
 from ncfree.rcyclic import (
+    RCyclicFamily,
     closure_check,
     cyclic_family,
     determining_series,
@@ -393,7 +393,7 @@ def test_criterion_10_amalgamated_freeness(capsys):
             data = dcumulant_data([x], 4)
             expect_table = cyclic_family(fam).table
             assert data == expect_table
-            rebuilt = rcyclic_witness_from_dcumulants(data, 2, 1, 4)
+            rebuilt = RCyclicFamily.of(2, 1, 4, data)
             assert family_moments(determining_series(rebuilt), 2) == family_moments(
                 determining_series(fam), 2
             )

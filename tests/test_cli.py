@@ -32,6 +32,10 @@ circular r=1 i=1 j=2 radius 2/1
 """
 
 
+# one order past the non-crossing partition cap (ncpartition.DEFAULT_MAX_GROUND_SET)
+ORDER13_SPEC = MIXED_SPEC.replace("order 6", "order 13")
+
+
 def spec_file(tmp_path, text, name="family.spec"):
     path = tmp_path / name
     path.write_text(text)
@@ -228,3 +232,38 @@ def test_cli_missing_file(capsys):
 def test_cli_usage_error_exit_code(capsys):
     assert run(["series", "--kind", "Nope", "--order", "2"]) == 2
     capsys.readouterr()
+
+
+def assert_usage_error(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--kind", "Zeta", "--s", "0", "--order", "3"],
+        ["series", "--kind", "Moebius", "--s", "1", "--order", "0"],
+    ],
+)
+def test_cli_series_library_error_exit_code(argv, capsys):
+    assert_usage_error(run(argv), capsys)
+
+
+def test_cli_opcumulant_word_past_partition_cap(tmp_path, capsys):
+    path = spec_file(tmp_path, ORDER13_SPEC)
+    code = run(["opcumulant", "--spec", path, "--algebra", "B", "--word", ",".join(["1"] * 13)])
+    assert_usage_error(code, capsys)
+
+
+def test_cli_rcyclic_order_past_partition_cap(tmp_path, capsys):
+    path = spec_file(tmp_path, ORDER13_SPEC)
+    assert run(["rcyclic", "check", "--spec", path]) == 0
+    assert capsys.readouterr().out == "PASS\trcyclic\n"
+    assert run(["rcyclic", "determining-series", "--spec", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["1:1,1:1\t1/1", "1:1,1:2\t1/1", "1:2,1:1\t1/1", "1:2,1:2\t1/1"]
+    for action in ("moments", "rtransform"):
+        assert_usage_error(run(["rcyclic", action, "--spec", path]), capsys)

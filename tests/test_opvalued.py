@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.ncpartition import Partition, enumerate_nc
@@ -21,17 +22,18 @@ from ncfree.opvalued import (
     odot,
     opvalued_cumulant_generic,
     opvalued_cumulant_pi,
-    rcyclic_witness_from_dcumulants,
 )
-from ncfree.rcyclic import cyclic_family, family_moments, determining_series
+from ncfree.rcyclic import RCyclicFamily, cyclic_family, family_moments, determining_series
 from ncfree.series import coef
 from helpers import (
     circular_2x2,
+    dense_check_chain_hypothesis,
     detached_diagonal_family,
     diagonal_free_2x2,
     first_moment_family,
     mixed_2x2,
     random_model,
+    scalar_generator_families,
 )
 
 
@@ -181,6 +183,16 @@ def test_chain_hypothesis_witness():
         dvalued_cumulant([x, x])
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fam=scalar_generator_families(), data=st.data())
+def test_chain_hypothesis_matches_dense_scan(fam, data):
+    # repeated matrices share one r-label, so draw words over the family
+    mats = [family_matrix(fam, r) for r in range(1, fam.s + 1)]
+    picks = data.draw(st.lists(st.sampled_from(mats), min_size=1, max_size=3))
+    order = data.draw(st.integers(1, fam.model.order))
+    assert check_chain_hypothesis(picks, order) == dense_check_chain_hypothesis(picks, order)
+
+
 def test_dvalued_matches_generic():
     for fam in (circular_2x2(4), mixed_2x2(4), detached_diagonal_family(4)):
         x = family_matrix(fam)
@@ -261,7 +273,7 @@ def test_witness_family_round_trip():
     fam = mixed_2x2(4)
     x = family_matrix(fam)
     data = dcumulant_data([x], 4)
-    witness = rcyclic_witness_from_dcumulants(data, 2, 1, 4)
+    witness = RCyclicFamily.of(2, 1, 4, data)
     assert witness.table == cyclic_family(fam).table
     m_orig = family_moments(determining_series(fam), 2)
     m_wit = family_moments(determining_series(witness), 2)

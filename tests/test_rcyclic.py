@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.rcyclic import (
@@ -17,18 +18,20 @@ from ncfree.rcyclic import (
     family_rtransform,
     is_rcyclic,
     partial_sum_rtransform,
-    projected_series,
 )
-from ncfree.series import Series, coef, pair_word
+from ncfree.series import Series, coef, ext_boxed_convolve, geometric, h_series, pair_word, scale
 from helpers import (
     circular_2x2,
     constant_table_family,
+    dense_cyclic_family,
+    dense_is_rcyclic,
     detached_diagonal_family,
     diagonal_free_2x2,
     first_moment_family,
     mixed_2x2,
     model_from_cyclic_table,
     random_cyclic_table,
+    scalar_generator_families,
     two_free_mixed_2x2,
 )
 
@@ -76,6 +79,12 @@ def test_is_rcyclic_finds_witness():
     ok, witness = is_rcyclic(detached_diagonal_family())
     assert not ok
     assert witness == ((1, 1), ((1, 1), (2, 2)))
+    # the table lists (a12 of matrix 1, a11 of matrix 2) before (a21, a11) of
+    # matrix 1, but the witness comes first by matrix word
+    model = CumulantModel.of(8, 2, {(2, 5): 1, (3, 1): 1})
+    ok, witness = is_rcyclic(MatrixFamily.from_generator_entries(2, 2, model))
+    assert not ok
+    assert witness == ((1, 1), ((2, 1), (1, 1)))
 
 
 def test_cyclic_family_reads_table():
@@ -86,6 +95,22 @@ def test_cyclic_family_reads_table():
     }
     with pytest.raises(ValueError):
         cyclic_family(first_moment_family())
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fam=scalar_generator_families(), data=st.data())
+def test_table_walk_matches_dense_scan(fam, data):
+    # verdict, witness and table equal the scan of every index pattern, also
+    # when the order argument stops short of the model order
+    order = data.draw(st.one_of(st.none(), st.integers(0, fam.model.order)))
+    verdict = is_rcyclic(fam, order)
+    assert verdict == dense_is_rcyclic(fam, order)
+    if verdict[0]:
+        assert cyclic_family(fam, order) == dense_cyclic_family(fam, order)
+    else:
+        with pytest.raises(ValueError) as exc:
+            cyclic_family(fam, order)
+        assert str(exc.value) == f"family is not R-cyclic; witness {verdict[1]}"
 
 
 def test_determining_series_uses_pair_letters():
@@ -119,8 +144,11 @@ def test_projected_series_sums_to_family_series():
     # the pair-letter projection keeps index resolution; summing it out
     # must land on the collapsed family series
     f = determining_series(mixed_2x2())
-    for which, collapsed in (("moments", family_moments(f, 2)), ("rtransform", family_rtransform(f, 2))):
-        g = projected_series(f, 2, which)
+    for companion, collapsed in (
+        (geometric(2, f.order), family_moments(f, 2)),
+        (h_series(2, f.order), family_rtransform(f, 2)),
+    ):
+        g = scale(ext_boxed_convolve(f, companion), Fraction(1, 2))
         assert g.alphabet == 2  # still pair letters for s=1, d=2
         for n in range(1, 5):
             for rword in itertools.product((1,), repeat=n):
@@ -129,8 +157,6 @@ def test_projected_series_sums_to_family_series():
                     for iword in itertools.product((1, 2), repeat=n)
                 )
                 assert total == coef(collapsed, rword)
-    with pytest.raises(ValueError):
-        projected_series(f, 2, "nonsense")
 
 
 def test_partial_sum_rtransform_agrees_on_corpus():
