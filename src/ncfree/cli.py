@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import mc as mcmod
 from .freeprob import CumulantModel
 from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .opvalued import OperatorMatrix, check_amalgamated_freeness, opvalued_cumulant_generic
@@ -395,6 +394,12 @@ def _cmd_opcumulant(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.order > DEFAULT_MAX_GROUND_SET:
+        print(
+            f"error: verify needs order at most {DEFAULT_MAX_GROUND_SET}, got {args.order}",
+            file=sys.stderr,
+        )
+        return 2
     reports = run_suite(args.suite, args.order)
     failed = False
     for report in reports:
@@ -406,6 +411,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from . import mc as mcmod  # numpy loads only for this subcommand
+
     spec = _load_spec(args.spec)
     if spec.s != 1:
         print("error: mc needs a spec with matrices 1", file=sys.stderr)

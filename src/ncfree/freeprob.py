@@ -11,13 +11,13 @@ through boxed convolution with the zeta and Moebius series.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .series import Series, _nc_pairs, boxed_convolve, moebius, zeta
+from .series import Series, _nc_pairs, boxed_convolve, moebius, over_lcm, zeta
 
 Word = tuple[int, ...]
 
@@ -57,7 +57,14 @@ class CumulantModel:
         return dict(self.items)
 
     @cached_property
-    def _phi_cache(self) -> dict[Word, Fraction]:
+    def numerators(self) -> tuple[int, dict[Word, int]]:
+        """(L, table times L): the lcm L of the table's denominators, and every
+        cumulant as an integer numerator over it."""
+        return over_lcm(self.items)
+
+    @cached_property
+    def _phi_cache(self) -> dict[Word, int]:
+        # word -> its state times L^len(word)
         return {}
 
 
@@ -115,12 +122,7 @@ class NcPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, NcPolynomial):
-            out: dict[Word, Fraction] = {}
-            for w1, v1 in self.items:
-                for w2, v2 in other.items:
-                    w = w1 + w2
-                    out[w] = out.get(w, _ZERO) + v1 * v2
-            return NcPolynomial.of(out)
+            return product_sum([(self, other)])
         return self.scale(other)
 
     def __rmul__(self, other) -> "NcPolynomial":
@@ -131,6 +133,17 @@ class NcPolynomial:
         if not a:
             return NcPolynomial.zero()
         return NcPolynomial(tuple((w, v * a) for w, v in self.items))
+
+
+def product_sum(pairs: Iterable[tuple[NcPolynomial, NcPolynomial]]) -> NcPolynomial:
+    """Sum of the products p * q, every term collected before one normalisation."""
+    out: dict[Word, Fraction] = {}
+    for p, q in pairs:
+        for w1, v1 in p.items:
+            for w2, v2 in q.items:
+                w = w1 + w2
+                out[w] = out.get(w, _ZERO) + v1 * v2
+    return NcPolynomial.of(out)
 
 
 def single_generator_form(p: NcPolynomial) -> tuple[Fraction, int] | None:
@@ -148,35 +161,58 @@ def single_generator_form(p: NcPolynomial) -> tuple[Fraction, int] | None:
     raise ValueError(f"entry is not a scalar multiple of a single generator: {p.items}")
 
 
-def phi_word(model: CumulantModel, w: Iterable[int]) -> Fraction:
-    """State of a product of generators: sum of cumulant products over NC(n)."""
-    word = tuple(w)
+def _phi_numerator(model: CumulantModel, word: Word) -> int:
+    # phi(word) * L^n: each partition with k blocks gives (prod t) / L^k over
+    # the table's integer numerators t, lifted by L^(n-k) to the shared L^n
     n = len(word)
     if n == 0:
-        return _ONE
+        return 1
     if n > model.order:
         raise ValueError(f"word of length {n} exceeds model order {model.order}")
     cache = model._phi_cache
     hit = cache.get(word)
     if hit is not None:
         return hit
-    table = model.table
-    acc = _ZERO
+    den, table = model.numerators
+    lifts = [den ** (n - k) for k in range(n + 1)]
+    acc = 0
     for blocks, _ in _nc_pairs(n):
-        term = _ONE
+        term = lifts[len(blocks)]
         for b in blocks:
             c = table.get(tuple(word[pos] for pos in b))
-            if not c:
-                term = _ZERO
+            if c is None:
                 break
             term *= c
-        acc += term
+        else:
+            acc += term
     cache[word] = acc
     return acc
 
 
+def phi_word(model: CumulantModel, w: Iterable[int]) -> Fraction:
+    """State of a product of generators: sum of cumulant products over NC(n).
+
+    Sums on integers: with the table as integer numerators over its lcm L,
+    the state of a word of length n is one integer over L^n, made a Fraction
+    once.
+    """
+    word = tuple(w)
+    return Fraction(_phi_numerator(model, word), model.numerators[0] ** len(word))
+
+
 def phi_poly(model: CumulantModel, p: NcPolynomial) -> Fraction:
-    return sum((v * phi_word(model, w) for w, v in p.items), _ZERO)
+    """State of a polynomial by linearity, summed as one integer over
+    P L^deg (P the lcm of the coefficient denominators) and divided once."""
+    den = model.numerators[0]
+    deg = p.degree()
+    p_den = math.lcm(*(v.denominator for _, v in p.items))
+    acc = 0
+    for w, v in p.items:
+        acc += (
+            v.numerator * (p_den // v.denominator)
+            * _phi_numerator(model, w) * den ** (deg - len(w))
+        )
+    return Fraction(acc, p_den * den**deg)
 
 
 def moment_series(

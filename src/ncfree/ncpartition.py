@@ -192,7 +192,8 @@ def perm_of(p: Partition) -> PartitionPermutation:
 def _kreweras_cached(p: Partition) -> Partition:
     comp = perm_of(p).inverse().compose(PartitionPermutation.forward_cycle(p.n))
     q = comp.cycle_partition()
-    assert is_noncrossing(q)
+    if not is_noncrossing(q):
+        raise RuntimeError(f"Kreweras complement of {p} is crossing: {q}")
     return q
 
 
@@ -226,7 +227,8 @@ def insert(p: Partition, q: Partition, k: int) -> Partition:
     blocks = [tuple(e + k for e in b) for b in p.blocks]
     blocks += [tuple(e if e <= k else e + p.n for e in b) for b in q.blocks]
     out = Partition.of(p.n + q.n, blocks)
-    assert is_noncrossing(out)
+    if not is_noncrossing(out):
+        raise RuntimeError(f"inserting {p} into {q} at {k} gave a crossing partition: {out}")
     return out
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
-from .freeprob import CumulantModel, NcPolynomial, phi_poly
+from .freeprob import CumulantModel, NcPolynomial, phi_poly, product_sum
 from .ncpartition import Partition, enumerate_nc, restrict
 from .rcyclic import _chain_letters, _chain_value, _nonzero_chains, _parsed_grids
 
@@ -113,6 +113,16 @@ class ScalarMatrix:
         return ScalarMatrix(self.d, tuple(tuple(a * v for v in row) for row in self.rows))
 
 
+def _scaled_sum(pairs: Iterable[tuple[NcPolynomial, Fraction]]) -> NcPolynomial:
+    """Sum of the polynomials p times the scalars c, normalised once."""
+    out: dict[Word, Fraction] = {}
+    for p, c in pairs:
+        if c:
+            for w, v in p.items:
+                out[w] = out.get(w, _ZERO) + v * c
+    return NcPolynomial.of(out)
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """d x d matrix with polynomial entries over one cumulant model."""
@@ -155,10 +165,7 @@ class OperatorMatrix:
             d,
             tuple(
                 tuple(
-                    sum(
-                        (self.rows[a][k] * other.rows[k][b] for k in range(d)),
-                        NcPolynomial.zero(),
-                    )
+                    product_sum((self.rows[a][k], other.rows[k][b]) for k in range(d))
                     for b in range(d)
                 )
                 for a in range(d)
@@ -172,10 +179,7 @@ class OperatorMatrix:
             d,
             tuple(
                 tuple(
-                    sum(
-                        (self.rows[a][k].scale(sm.rows[k][b]) for k in range(d)),
-                        NcPolynomial.zero(),
-                    )
+                    _scaled_sum((self.rows[a][k], sm.rows[k][b]) for k in range(d))
                     for b in range(d)
                 )
                 for a in range(d)
@@ -189,10 +193,7 @@ class OperatorMatrix:
             d,
             tuple(
                 tuple(
-                    sum(
-                        (self.rows[k][b].scale(sm.rows[a][k]) for k in range(d)),
-                        NcPolynomial.zero(),
-                    )
+                    _scaled_sum((self.rows[k][b], sm.rows[a][k]) for k in range(d))
                     for b in range(d)
                 )
                 for a in range(d)

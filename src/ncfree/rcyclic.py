@@ -23,10 +23,11 @@ that survives, cyclic or not.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .freeprob import (
     CumulantModel,
@@ -289,6 +290,33 @@ def partial_sum_rtransform(f: Series, d: int) -> Series:
     return Series.of(s, f.order, out)
 
 
+def _scaled_cumulant(
+    idx: tuple[int, ...],
+    memo: dict[tuple[int, ...], int],
+    scaled_moment: Callable[[tuple[int, ...]], int],
+) -> int:
+    # Moment-cumulant inversion on scaled integers; a partition is skipped at
+    # its first vanishing block.  Module level, not a closure over memo, so
+    # the memo is freed on return rather than by the cycle collector.
+    acc = scaled_moment(idx)
+    for blocks, _ in _nc_pairs(len(idx)):
+        if len(blocks) == 1:
+            continue
+        factors = []
+        for b in blocks:
+            sub = tuple(idx[t] for t in b)
+            c = memo.get(sub)
+            if c is None:
+                c = _scaled_cumulant(sub, memo, scaled_moment)
+            if not c:
+                break
+            factors.append(c)
+        else:
+            acc -= math.prod(factors)
+    memo[idx] = acc
+    return acc
+
+
 def closure_check(
     fam: MatrixFamily,
     new_grid: Sequence[Sequence[NcPolynomial]],
@@ -300,6 +328,14 @@ def closure_check(
     moment inversion, so entries may be arbitrary polynomials (products,
     linear combinations, scalars).  Checks every non-cyclic pattern with
     total entry degree and tuple length up to the budget.
+
+    The inversion runs on integers.  With P the lcm of the entries'
+    coefficient denominators and L that of the model's cumulants, the
+    cumulant of n entries of total degree D has a denominator dividing
+    P^n L^D, and that scale is multiplicative over the blocks of any
+    partition of the entries.  So the scaled cumulants are integers obeying
+    the moment-cumulant relation with no lift, and only whether they vanish
+    is read.
     """
     model = fam.model
     n_budget = model.order if budget is None else budget
@@ -318,28 +354,18 @@ def closure_check(
             elems.append(new_grid[i - 1][j - 1])
             tags.append((fam.s + 1, i, j))
     degs = [e.degree() for e in elems]
+    p_den = math.lcm(*(v.denominator for e in elems for _, v in e.items))
+    l_den = model.numerators[0]
 
-    memo: dict[tuple[int, ...], Fraction] = {}
+    memo: dict[tuple[int, ...], int] = {}
 
-    def joint_cumulant(idx: tuple[int, ...]) -> Fraction:
-        hit = memo.get(idx)
-        if hit is not None:
-            return hit
-        prod = reduce(lambda a, b: a * b, (elems[t] for t in idx))
-        acc = phi_poly(model, prod)
-        for blocks, _ in _nc_pairs(len(idx)):
-            if len(blocks) == 1:
-                continue
-            term = _ONE
-            for b in blocks:
-                c = joint_cumulant(tuple(idx[t] for t in b))
-                if not c:
-                    term = _ZERO
-                    break
-                term *= c
-            acc -= term
-        memo[idx] = acc
-        return acc
+    def scaled_moment(idx: tuple[int, ...]) -> int:
+        moment = phi_poly(model, reduce(lambda a, b: a * b, (elems[t] for t in idx)))
+        scale = p_den ** len(idx) * l_den ** sum(degs[t] for t in idx)
+        lift, rest = divmod(scale, moment.denominator)
+        if rest:
+            raise RuntimeError(f"moment {moment} of entries {idx} is not integral at scale")
+        return moment.numerator * lift
 
     for n in range(1, n_budget + 1):
         for idx in itertools.product(range(len(elems)), repeat=n):
@@ -348,7 +374,7 @@ def closure_check(
             pairs = tuple(tags[t][1:] for t in idx)
             if all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n)):
                 continue
-            if joint_cumulant(idx):
+            if _scaled_cumulant(idx, memo, scaled_moment):
                 rword = tuple(tags[t][0] for t in idx)
                 return False, (rword, pairs)
     return True, None

@@ -13,6 +13,14 @@ product of ordinary coefficients over the restrictions of w to the blocks.
 The extended variant pairs a series over s*d letters (encoded pairs (r, i)
 with r outer: letter = (r-1)*d + i) with a series over d letters; the second
 factor only sees the i-components of the word.
+
+The kernels run on plain integers: a series also presents its coefficients
+as integer numerators over one common denominator L (the lcm of the
+coefficient denominators).  A partition's term is then a product of ints
+with a denominator fixed by its block count, every term of an output word is
+lifted to one shared denominator, and each output coefficient becomes a
+Fraction once, after its whole sum.  Rationals in lowest terms are unique,
+so this gives exactly the values of term-by-term Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .ncpartition import Partition, enumerate_nc, kreweras
 
@@ -36,6 +44,21 @@ def format_rational(x: Fraction) -> str:
     """Lowest terms with an explicit positive denominator, e.g. 3/1, -1/2."""
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+class Numerators(NamedTuple):
+    """Coefficients as integer numerators over one common denominator."""
+
+    denominator: int
+    by_word: dict[Word, int]
+    by_length: dict[int, tuple[tuple[Word, int], ...]]
+
+
+def over_lcm(items: Iterable[tuple[Word, Fraction]]) -> tuple[int, dict[Word, int]]:
+    """The least common denominator L of the values and each value times L."""
+    items = tuple(items)
+    den = math.lcm(*(v.denominator for _, v in items))
+    return den, {w: v.numerator * (den // v.denominator) for w, v in items}
 
 
 @dataclass(frozen=True)
@@ -72,11 +95,13 @@ class Series:
         return dict(self.items)
 
     @cached_property
-    def support_by_length(self) -> dict[int, tuple[tuple[Word, Fraction], ...]]:
-        out: dict[int, list[tuple[Word, Fraction]]] = {}
-        for w, v in self.items:
-            out.setdefault(len(w), []).append((w, v))
-        return {n: tuple(rows) for n, rows in out.items()}
+    def numerators(self) -> Numerators:
+        """Every coefficient as numerator / denominator, the denominator shared."""
+        den, by_word = over_lcm(self.items)
+        by_length: dict[int, list[tuple[Word, int]]] = {}
+        for w, num in by_word.items():
+            by_length.setdefault(len(w), []).append((w, num))
+        return Numerators(den, by_word, {n: tuple(rows) for n, rows in by_length.items()})
 
 
 def coef(f: Series, w: Iterable[int]) -> Fraction:
@@ -118,11 +143,16 @@ def _nc_pairs(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[in
 def _convolve(f: Series, g: Series, project: Callable[[int], int] | None) -> dict[Word, Fraction]:
     # Iterate over fillings of each partition's blocks by support words of f;
     # every word with a nonzero output coefficient arises this way, so sparse
-    # operands never force a scan of the full alphabet.
-    acc: dict[Word, Fraction] = {}
-    supp = f.support_by_length
-    gc = g.coeffs
+    # operands never force a scan of the full alphabet.  With f = a/Lf and
+    # g = b/Lg, a partition with k blocks (its complement has n+1-k) gives
+    # (prod a)(prod b) / (Lf^k Lg^(n+1-k)); lifting it by Lf^(n-k) Lg^(k-1)
+    # puts every term of length n over Lf^n Lg^n.
+    lf, supp = f.numerators.denominator, f.numerators.by_length
+    lg, gc = g.numerators.denominator, g.numerators.by_word
+    proj = None if project is None else [0] + [project(x) for x in range(1, f.alphabet + 1)]
+    out: dict[Word, Fraction] = {}
     for n in range(1, f.order + 1):
+        acc: dict[Word, int] = {}
         for blocks, co_blocks in _nc_pairs(n):
             pools = []
             for b in blocks:
@@ -133,24 +163,29 @@ def _convolve(f: Series, g: Series, project: Callable[[int], int] | None) -> dic
                 pools.append(pool)
             if pools is None:
                 continue
+            k = len(blocks)
+            lift = lf ** (n - k) * lg ** (k - 1)
             for combo in itertools.product(*pools):
                 w = [0] * n
-                c = _ONE
+                c = lift
                 for b, (bw, bc) in zip(blocks, combo):
                     c *= bc
                     for pos, letter in zip(b, bw):
                         w[pos] = letter
-                pw = w if project is None else [project(x) for x in w]
+                pw = w if proj is None else [proj[x] for x in w]
                 for b2 in co_blocks:
                     side = gc.get(tuple(pw[pos] for pos in b2))
-                    if not side:
+                    if side is None:
                         break
                     c *= side
                 else:
                     word = tuple(w)
-                    prev = acc.get(word)
-                    acc[word] = c if prev is None else prev + c
-    return acc
+                    acc[word] = acc.get(word, 0) + c
+        den = (lf * lg) ** n
+        for word, num in acc.items():
+            if num:
+                out[word] = Fraction(num, den)
+    return out
 
 
 def boxed_convolve(f: Series, g: Series) -> Series:
@@ -183,42 +218,51 @@ def boxed_inverse(f: Series) -> Series:
     all-singletons term of the convolution, so each degree is a single
     division once the lower degrees are known.  Requires every degree-1
     coefficient to be nonzero.
+
+    Degree n runs on integers: f as numerators a over Lf, the inverse's
+    lower degrees as numerators c over their common denominator M.  A
+    partition with k < n blocks gives (prod a)(prod c) / (Lf^k M^(n+1-k)),
+    lifted by Lf^(n-1-k) M^(k-1) to the shared Lf^(n-1) M^n.
     """
     s, order = f.alphabet, f.order
+    lf, fc = f.numerators.denominator, f.numerators.by_word
     deg1 = {}
     for r in range(1, s + 1):
-        c = f.coeffs.get((r,))
-        if not c:
+        a = fc.get((r,))
+        if a is None:
             raise ValueError(f"degree-1 coefficient at letter {r} is zero; not invertible")
-        deg1[r] = c
-    inv: dict[Word, Fraction] = {(r,): 1 / deg1[r] for r in range(1, s + 1)}
-    fc = f.coeffs
+        deg1[r] = a
+    inv: dict[Word, Fraction] = {(r,): Fraction(lf, deg1[r]) for r in range(1, s + 1)}
     for n in range(2, order + 1):
-        pairs = [pq for pq in _nc_pairs(n) if len(pq[0]) != n]
+        m, ic = over_lcm(inv.items())
+        pairs = [
+            (blocks, co_blocks, lf ** (n - 1 - len(blocks)) * m ** (len(blocks) - 1))
+            for blocks, co_blocks in _nc_pairs(n)
+            if len(blocks) != n
+        ]
         for w in itertools.product(range(1, s + 1), repeat=n):
-            acc = _ZERO
-            for blocks, co_blocks in pairs:
-                term = _ONE
+            acc = 0
+            for blocks, co_blocks, lift in pairs:
+                term = lift
                 for b in blocks:
                     c = fc.get(tuple(w[pos] for pos in b))
-                    if not c:
-                        term = _ZERO
+                    if c is None:
                         break
                     term *= c
-                if not term:
-                    continue
-                for b2 in co_blocks:
-                    c = inv.get(tuple(w[pos] for pos in b2))
-                    if not c:
-                        term = _ZERO
-                        break
-                    term *= c
-                acc += term
+                else:
+                    for b2 in co_blocks:
+                        c = ic.get(tuple(w[pos] for pos in b2))
+                        if c is None:
+                            break
+                        term *= c
+                    else:
+                        acc += term
             if acc:
-                denom = _ONE
+                # inv(w) = -(acc / (Lf^(n-1) M^n)) / prod(a_{w_t} / Lf)
+                denom = m**n
                 for letter in w:
                     denom *= deg1[letter]
-                inv[w] = -acc / denom
+                inv[w] = Fraction(-acc * lf, denom)
     return Series.of(s, order, inv)
 
 

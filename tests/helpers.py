@@ -8,10 +8,11 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from ncfree.freeprob import CumulantModel, NcPolynomial, phi_poly, single_generator_form
-from ncfree.opvalued import OperatorMatrix
+from ncfree.ncpartition import enumerate_nc, kreweras
+from ncfree.opvalued import OperatorMatrix, ScalarMatrix
 from ncfree.oracle import nc_by_filter
 from ncfree.rcyclic import MatrixFamily, RCyclicFamily, entry_letter
-from ncfree.series import Series
+from ncfree.series import Series, gen_coef
 
 Word = tuple[int, ...]
 TableKey = tuple[Word, Word]
@@ -353,3 +354,233 @@ def scalar_generator_families(draw) -> MatrixFamily:
         table[word] = draw(value)
     model = CumulantModel.of(generators, order, table)
     return MatrixFamily.of(d, s, model, grids)
+
+
+# -- term-by-term Fraction references for the integer kernels -----------------
+# The library sums integer numerators over a common denominator and makes one
+# Fraction per output; these add one Fraction per term, as the definitions read.
+
+# coprime and mixed denominators, negative values
+MIXED_VALUES = [
+    Fraction(1, 3),
+    Fraction(2, 7),
+    Fraction(-5, 6),
+    Fraction(-1),
+    Fraction(3),
+    Fraction(-4, 9),
+    Fraction(7, 10),
+]
+
+
+def slow_boxed_convolve(f: Series, g: Series, d: int | None = None) -> Series:
+    """Sum over every word and every pi of gen_coef(f, w, pi) * gen_coef(g, w', K(pi)),
+    where w' is w, or its i-components when f lives on pair letters over d."""
+    out = {}
+    for n in range(1, f.order + 1):
+        for w in itertools.product(range(1, f.alphabet + 1), repeat=n):
+            gw = w if d is None else tuple((x - 1) % d + 1 for x in w)
+            acc = _ZERO
+            for p in enumerate_nc(n):
+                acc += gen_coef(f, w, p) * gen_coef(g, gw, kreweras(p))
+            out[w] = acc
+    return Series.of(f.alphabet, f.order, out)
+
+
+def slow_phi_word(model: CumulantModel, word: Word) -> Fraction:
+    if not word:
+        return _ONE
+    acc = _ZERO
+    for p in enumerate_nc(len(word)):
+        term = _ONE
+        for block in p.blocks:
+            term *= model.table.get(tuple(word[e - 1] for e in block), _ZERO)
+        acc += term
+    return acc
+
+
+def slow_phi_poly(model: CumulantModel, p: NcPolynomial) -> Fraction:
+    acc = _ZERO
+    for w, v in p.items:
+        acc += v * slow_phi_word(model, w)
+    return acc
+
+
+def cellwise_mul(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
+    """Each cell a polynomial sum of one-term products."""
+    d = x.d
+    rows = [[NcPolynomial.zero()] * d for _ in range(d)]
+    for a, b, k in itertools.product(range(d), repeat=3):
+        for w1, v1 in x.rows[a][k].items:
+            for w2, v2 in y.rows[k][b].items:
+                rows[a][b] = rows[a][b] + NcPolynomial.of({w1 + w2: v1 * v2})
+    return OperatorMatrix.of(x.model, rows)
+
+
+def cellwise_mul_scalar_right(x: OperatorMatrix, sm: ScalarMatrix) -> OperatorMatrix:
+    d = x.d
+    rows = [
+        [
+            sum((x.rows[a][k].scale(sm.rows[k][b]) for k in range(d)), NcPolynomial.zero())
+            for b in range(d)
+        ]
+        for a in range(d)
+    ]
+    return OperatorMatrix.of(x.model, rows)
+
+
+def cellwise_mul_scalar_left(x: OperatorMatrix, sm: ScalarMatrix) -> OperatorMatrix:
+    d = x.d
+    rows = [
+        [
+            sum((x.rows[k][b].scale(sm.rows[a][k]) for k in range(d)), NcPolynomial.zero())
+            for b in range(d)
+        ]
+        for a in range(d)
+    ]
+    return OperatorMatrix.of(x.model, rows)
+
+
+def fraction_closure_check(fam: MatrixFamily, new_grid, budget: int):
+    """closure_check with Fraction cumulants by the recursion, states from
+    slow_phi_poly; same pattern order, so the same verdict and witness."""
+    model = fam.model
+    d = fam.d
+    elems, tags = [], []
+    for r in range(1, fam.s + 1):
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                elems.append(fam.entry(r, i, j))
+                tags.append((r, i, j))
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            elems.append(new_grid[i - 1][j - 1])
+            tags.append((fam.s + 1, i, j))
+    degs = [e.degree() for e in elems]
+    memo: dict[tuple[int, ...], Fraction] = {}
+
+    def k(idx: tuple[int, ...]) -> Fraction:
+        if idx in memo:
+            return memo[idx]
+        prod = elems[idx[0]]
+        for t in idx[1:]:
+            prod = prod * elems[t]
+        acc = slow_phi_poly(model, prod)
+        for p in enumerate_nc(len(idx)):
+            if p.block_count() == 1:
+                continue
+            term = _ONE
+            for block in p.blocks:
+                term *= k(tuple(idx[e - 1] for e in block))
+            acc -= term
+        memo[idx] = acc
+        return acc
+
+    for n in range(1, budget + 1):
+        for idx in itertools.product(range(len(elems)), repeat=n):
+            if sum(degs[t] for t in idx) > budget:
+                continue
+            pairs = tuple(tags[t][1:] for t in idx)
+            if all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n)):
+                continue
+            if k(idx):
+                return False, (tuple(tags[t][0] for t in idx), pairs)
+    return True, None
+
+
+def mixed_values():
+    return st.sampled_from(MIXED_VALUES)
+
+
+# highest order per alphabet size that keeps the term-by-term reference near
+# 10^3 words
+SLOW_MAX_ORDER = {1: 6, 2: 5, 3: 4, 4: 3, 6: 3}
+
+
+@st.composite
+def rational_series(draw, alphabet: int, order: int, invertible: bool = False) -> Series:
+    """Sparse (a few words of each length) or dense (every word) with
+    mixed-denominator values; with invertible, every degree-1 coefficient is
+    nonzero."""
+    coeffs = {}
+    dense = draw(st.booleans())
+    for n in range(1, order + 1):
+        if dense:
+            pool = list(itertools.product(range(1, alphabet + 1), repeat=n))
+        else:
+            words = st.lists(st.integers(1, alphabet), min_size=n, max_size=n).map(tuple)
+            pool = draw(st.lists(words, max_size=3))
+        for w in pool:
+            coeffs[w] = draw(mixed_values())
+    if invertible:
+        for r in range(1, alphabet + 1):
+            coeffs[(r,)] = draw(mixed_values())
+    return Series.of(alphabet, order, coeffs)
+
+
+@st.composite
+def sparse_polynomials(draw, generators: int, degree: int) -> NcPolynomial:
+    """Zero, a constant, or a few monomials of degree <= degree."""
+    words = st.lists(st.integers(1, generators), max_size=degree).map(tuple)
+    terms = draw(st.dictionaries(words, mixed_values(), max_size=3))
+    return NcPolynomial.of(terms)
+
+
+@st.composite
+def sparse_models(draw, generators: int, order: int) -> CumulantModel:
+    words = st.lists(st.integers(1, generators), min_size=1, max_size=order).map(tuple)
+    table = draw(st.dictionaries(words, mixed_values(), max_size=6))
+    return CumulantModel.of(generators, order, table)
+
+
+@st.composite
+def closure_cases(draw, max_budget: dict[tuple[int, int], int]):
+    """(family, new grid, budget): an entry-generator family whose table holds
+    cyclic chains and perhaps one injected non-cyclic word, and a new matrix
+    that is either A Lam A' + Shift in the family's matrices (closed) or
+    sparse polynomials in the entries."""
+    d = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 2))
+    budget = draw(st.integers(1, max_budget[(d, s)]))
+    index = st.integers(1, d)
+    table = {}
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, budget))
+        rword = draw(st.lists(st.integers(1, s), min_size=n, max_size=n))
+        iword = draw(st.lists(index, min_size=n, max_size=n))
+        word = tuple(entry_letter(rword[t], iword[t - 1], iword[t], d) for t in range(n))
+        table[word] = draw(mixed_values())
+    if draw(st.booleans()):
+        # means on the whole diagonal: all-singleton terms of every order
+        for r in range(1, s + 1):
+            for i in range(1, d + 1):
+                table[(entry_letter(r, i, i, d),)] = draw(mixed_values())
+    if draw(st.booleans()):
+        n = draw(st.integers(1, budget))
+        table[tuple(draw(st.lists(st.integers(1, s * d * d), min_size=n, max_size=n)))] = (
+            draw(mixed_values())
+        )
+    model = CumulantModel.of(s * d * d, budget, table)
+    fam = MatrixFamily.from_generator_entries(d, s, model)
+    if draw(st.booleans()):
+        a = draw(st.integers(1, s))
+        b = draw(st.integers(1, s))
+        # integral weights leave the table's denominators uncovered
+        weight = draw(st.sampled_from([mixed_values(), st.integers(-2, 3)]))
+        lam = draw(st.lists(weight, min_size=d, max_size=d))
+        shift = draw(st.lists(weight, min_size=d, max_size=d))
+        new_grid = [
+            [
+                sum(
+                    ((fam.entry(a, i, k) * fam.entry(b, k, j)).scale(lam[k - 1])
+                     for k in range(1, d + 1)),
+                    NcPolynomial.zero(),
+                )
+                + (NcPolynomial.unit().scale(shift[i - 1]) if i == j else NcPolynomial.zero())
+                for j in range(1, d + 1)
+            ]
+            for i in range(1, d + 1)
+        ]
+    else:
+        cell = sparse_polynomials(s * d * d, 2)
+        new_grid = [[draw(cell) for _ in range(d)] for _ in range(d)]
+    return fam, new_grid, budget

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ncfree
 from ncfree.cli import (
     CircularDecl,
     CumulantDecl,
@@ -267,3 +271,18 @@ def test_cli_rcyclic_order_past_partition_cap(tmp_path, capsys):
     assert lines == ["1:1,1:1\t1/1", "1:1,1:2\t1/1", "1:2,1:1\t1/1", "1:2,1:2\t1/1"]
     for action in ("moments", "rtransform"):
         assert_usage_error(run(["rcyclic", action, "--spec", path]), capsys)
+
+
+@pytest.mark.parametrize("order", [13, 14])
+def test_cli_verify_order_past_partition_cap(order, capsys):
+    assert_usage_error(run(["verify", "--order", str(order)]), capsys)
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy loads only for the mc subcommand
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ncfree.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ncfree.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout == "False\n"

@@ -17,7 +17,15 @@ from ncfree.freeprob import (
     single_generator_form,
 )
 from ncfree.series import Series, coef
-from helpers import cumulant_of_elements, random_invertible_series, random_model
+from helpers import (
+    cumulant_of_elements,
+    random_invertible_series,
+    random_model,
+    slow_phi_poly,
+    slow_phi_word,
+    sparse_models,
+    sparse_polynomials,
+)
 
 SEMICIRCULAR = CumulantModel.of(1, 8, {(1, 1): 1})
 # c = generator 1, c* = generator 2 under the usual pairing
@@ -167,3 +175,13 @@ def test_moment_cumulant_roundtrip(seed):
     # the R-transform of the generator family recovers the stored table
     r = r_transform(m)
     assert r.coeffs == model.table
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), generators=st.integers(1, 3), order=st.integers(1, 6))
+def test_phi_matches_term_by_term(data, generators, order):
+    model = data.draw(sparse_models(generators, order))
+    word = data.draw(st.lists(st.integers(1, generators), max_size=order).map(tuple))
+    assert phi_word(model, word) == slow_phi_word(model, word)
+    poly = data.draw(sparse_polynomials(generators, order))
+    assert phi_poly(model, poly) == slow_phi_poly(model, poly)

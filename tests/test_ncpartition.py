@@ -146,3 +146,17 @@ def test_perm_inverse_roundtrip(p):
 ))
 def test_kreweras_stays_noncrossing(p):
     assert is_noncrossing(kreweras(p))
+
+
+def test_invariants_raise_without_assert(monkeypatch):
+    # the checks are real raises, so they hold under python -O as well
+    import ncfree.ncpartition as ncp
+
+    p = Partition.singletons(3)
+    monkeypatch.setattr(ncp, "is_noncrossing", lambda part: part == p)
+    with pytest.raises(RuntimeError, match="crossing"):
+        ncp._kreweras_cached.__wrapped__(p)
+    inner, outer = Partition.whole(2), Partition.whole(1)
+    monkeypatch.setattr(ncp, "is_noncrossing", lambda part: part.n < 3)
+    with pytest.raises(RuntimeError, match="crossing"):
+        insert(inner, outer, 1)

@@ -26,14 +26,19 @@ from ncfree.opvalued import (
 from ncfree.rcyclic import RCyclicFamily, cyclic_family, family_moments, determining_series
 from ncfree.series import coef
 from helpers import (
+    cellwise_mul,
+    cellwise_mul_scalar_left,
+    cellwise_mul_scalar_right,
     circular_2x2,
     dense_check_chain_hypothesis,
     detached_diagonal_family,
     diagonal_free_2x2,
     first_moment_family,
     mixed_2x2,
+    mixed_values,
     random_model,
     scalar_generator_families,
+    sparse_polynomials,
 )
 
 
@@ -70,6 +75,22 @@ def test_operator_matrix_bimodule():
     assert x.mul_scalar_right(ScalarMatrix.identity(2)) == x
     assert x.sub(x).is_zero()
     assert x.add(x).entry(1, 2) == x.entry(1, 2).scale(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3))
+def test_matrix_products_match_cellwise(data, d):
+    model = CumulantModel.of(3, 4, {(1, 2): 1})
+    cell = sparse_polynomials(3, 2)
+    x, y = (
+        OperatorMatrix.of(model, [[data.draw(cell) for _ in range(d)] for _ in range(d)])
+        for _ in range(2)
+    )
+    scalar = st.one_of(st.just(0), mixed_values())
+    sm = ScalarMatrix.of([[data.draw(scalar) for _ in range(d)] for _ in range(d)])
+    assert x.mul(y) == cellwise_mul(x, y)
+    assert x.mul_scalar_right(sm) == cellwise_mul_scalar_right(x, sm)
+    assert x.mul_scalar_left(sm) == cellwise_mul_scalar_left(x, sm)
 
 
 def test_expectations():

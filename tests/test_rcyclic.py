@@ -22,12 +22,14 @@ from ncfree.rcyclic import (
 from ncfree.series import Series, coef, ext_boxed_convolve, geometric, h_series, pair_word, scale
 from helpers import (
     circular_2x2,
+    closure_cases,
     constant_table_family,
     dense_cyclic_family,
     dense_is_rcyclic,
     detached_diagonal_family,
     diagonal_free_2x2,
     first_moment_family,
+    fraction_closure_check,
     mixed_2x2,
     model_from_cyclic_table,
     random_cyclic_table,
@@ -219,6 +221,28 @@ def test_closure_rejects_offdiagonal_scalar():
     ok, witness = closure_check(fam, v12, budget=3)
     assert not ok
     assert witness == ((2,), ((1, 2),))
+
+
+# highest budget per (d, s) that keeps the Fraction reference near 10^3 patterns
+CLOSURE_MAX_BUDGET = {(1, 1): 4, (1, 2): 4, (2, 1): 3, (2, 2): 2, (3, 1): 2, (3, 2): 2}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=closure_cases(CLOSURE_MAX_BUDGET))
+def test_closure_matches_fraction_recursion(case):
+    fam, new_grid, budget = case
+    assert closure_check(fam, new_grid, budget) == fraction_closure_check(fam, new_grid, budget)
+
+
+def test_closure_scale_follows_entry_degree():
+    # a11 against the (2, 2) cell of A*A: two entries of total degree 3 whose
+    # moment holds the product of three means, 1/27; one table denominator
+    # per entry (21^2 = 3^2 7^2) would not clear it
+    table = {(1,): Fraction(1, 3), (4,): Fraction(1, 3), (2, 3): Fraction(1, 7)}
+    fam = MatrixFamily.from_generator_entries(2, 1, CumulantModel.of(4, 3, table))
+    a = [[fam.entry(1, i, j) for j in (1, 2)] for i in (1, 2)]
+    square = [[a[i][0] * a[0][j] + a[i][1] * a[1][j] for j in (0, 1)] for i in (0, 1)]
+    assert closure_check(fam, square, 3) == fraction_closure_check(fam, square, 3) == (True, None)
 
 
 def test_closure_budget_capped_by_model_order():

@@ -30,7 +30,13 @@ from ncfree.series import (
     truncate,
     zeta,
 )
-from helpers import random_invertible_series, random_series
+from helpers import (
+    SLOW_MAX_ORDER,
+    random_invertible_series,
+    random_series,
+    rational_series,
+    slow_boxed_convolve,
+)
 
 
 def test_format_rational_always_shows_denominator():
@@ -239,3 +245,31 @@ def test_convolve_with_zeta_is_invertible(seed):
     rng = random.Random(seed)
     f = random_invertible_series(rng, 2, 3)
     assert boxed_convolve(boxed_convolve(f, zeta(2, 3)), moebius(2, 3)) == f
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), s=st.integers(1, 3))
+def test_boxed_convolve_matches_term_by_term(data, s):
+    order = data.draw(st.integers(1, SLOW_MAX_ORDER[s]))
+    f = data.draw(rational_series(s, order))
+    g = data.draw(rational_series(s, order))
+    assert boxed_convolve(f, g) == slow_boxed_convolve(f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.integers(1, 3), s=st.integers(1, 2))
+def test_ext_boxed_convolve_matches_term_by_term(data, d, s):
+    order = data.draw(st.integers(1, SLOW_MAX_ORDER[s * d]))
+    f = data.draw(rational_series(s * d, order))
+    g = data.draw(rational_series(d, order))
+    assert ext_boxed_convolve(f, g) == slow_boxed_convolve(f, g, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), s=st.integers(1, 3))
+def test_boxed_inverse_is_two_sided_term_by_term(data, s):
+    order = data.draw(st.integers(1, SLOW_MAX_ORDER[s]))
+    f = data.draw(rational_series(s, order, invertible=True))
+    inv = boxed_inverse(f)
+    assert slow_boxed_convolve(inv, f) == delta(s, order)
+    assert slow_boxed_convolve(f, inv) == delta(s, order)
