@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .series import Series, _nc_pairs, boxed_convolve, moebius, over_lcm, zeta
+from .ncpartition import nc_pairs
+from .series import Series, boxed_convolve, moebius, over_lcm, zeta
 
 Word = tuple[int, ...]
 
@@ -176,7 +177,7 @@ def _phi_numerator(model: CumulantModel, word: Word) -> int:
     den, table = model.numerators
     lifts = [den ** (n - k) for k in range(n + 1)]
     acc = 0
-    for blocks, _ in _nc_pairs(n):
+    for blocks, _ in nc_pairs(n):
         term = lifts[len(blocks)]
         for b in blocks:
             c = table.get(tuple(word[pos] for pos in b))

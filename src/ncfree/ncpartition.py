@@ -8,17 +8,22 @@ no two blocks interleave, i.e. there are no positions i < j < k < l with
 Each partition pi has a permutation perm(pi) whose cycles are the blocks of
 pi traversed in increasing order.  The Kreweras complement of a non-crossing
 pi is the unique non-crossing partition whose permutation composed on the
-right of perm(pi) gives the forward cycle 1 -> 2 -> ... -> n -> 1.
+right of perm(pi) gives the forward cycle gamma: 1 -> 2 -> ... -> n -> 1.
+
+NC(n) and its complements live only here, on 0-based block tuples: `nc_pairs`
+builds NC(n) by stack insertion and pairs each pi with the cycles of
+perm(pi)^-1 o gamma, read off an integer array by `_complement`.  pi is
+non-crossing iff |pi| + |perm(pi)^-1 o gamma| = n + 1 in cycle counts (Biane).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_GROUND_SET = 12
+Blocks = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -124,57 +129,69 @@ class PartitionPermutation:
         return Partition.of(self.n, blocks)
 
 
-def is_noncrossing(p: Partition) -> bool:
-    """True when no two blocks of p interleave.
-
-    Two blocks cross exactly when walking the merged elements in increasing
-    order meets them in an a, b, a, b pattern (four or more runs).
-    """
-    blocks = p.blocks
-    for x, y in itertools.combinations(blocks, 2):
-        merged = sorted((e, 0) for e in x) + sorted((e, 1) for e in y)
-        merged.sort()
-        runs = 1
-        for t in range(1, len(merged)):
-            if merged[t][1] != merged[t - 1][1]:
-                runs += 1
-        if runs >= 4:
-            return False
-    return True
+def _zero_based(p: Partition) -> Blocks:
+    return tuple(tuple(e - 1 for e in b) for b in p.blocks)
 
 
-@lru_cache(maxsize=None)
-def _nc_block_sets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # All non-crossing partitions of {1..n} as block tuples; n = 0 gives the
-    # empty partition so the gap recursion below composes cleanly.
-    if n == 0:
-        return ((),)
+def _one_based(n: int, blocks: Blocks) -> Partition:
+    return Partition(n, tuple(tuple(e + 1 for e in b) for b in blocks))
+
+
+def _complement(blocks: Blocks, n: int) -> Blocks:
+    """Canonical blocks of the cycles of perm(pi)^-1 o gamma, all 0-based."""
+    pred = [0] * n  # perm(pi)^-1
+    for b in blocks:
+        for prev, e in zip(b[-1:] + b[:-1], b):
+            pred[e] = prev
+    seen = [False] * n
     out = []
-    rest = list(range(2, n + 1))
-    for size in range(0, n):
-        for extra in itertools.combinations(rest, size):
-            first = (1,) + extra
-            # the complement splits into the gaps between consecutive
-            # elements of the block containing 1
-            bounds = list(first) + [n + 1]
-            gap_parts = []
-            for t in range(len(first)):
-                gap = list(range(bounds[t] + 1, bounds[t + 1]))
-                gap_parts.append((gap, _nc_block_sets(len(gap))))
-            for combo in itertools.product(*(parts for _, parts in gap_parts)):
-                blocks = [first]
-                for (gap, _), sub in zip(gap_parts, combo):
-                    for b in sub:
-                        blocks.append(tuple(gap[e - 1] for e in b))
-                out.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
-    return tuple(sorted(out))
+    for start in range(n):
+        orbit = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            orbit.append(k)
+            k = pred[(k + 1) % n]
+        if orbit:
+            out.append(tuple(sorted(orbit)))
+    return tuple(out)
 
 
-def enumerate_nc(n: int, max_n: int = DEFAULT_MAX_GROUND_SET) -> tuple[Partition, ...]:
+def is_noncrossing(p: Partition) -> bool:
+    """True when no two blocks of p interleave."""
+    return len(p.blocks) + len(_complement(_zero_based(p), p.n)) == p.n + 1
+
+
+@lru_cache(maxsize=DEFAULT_MAX_GROUND_SET)
+def nc_pairs(n: int) -> tuple[tuple[Blocks, Blocks], ...]:
+    """Each pi in NC(n) with its Kreweras complement, 0-based, lexicographic in pi.
+
+    Stack insertion: element e opens a block or joins an open one, which
+    closes every block opened after it; each pi in NC(n) arises once.
+    """
+    if not 1 <= n <= DEFAULT_MAX_GROUND_SET:
+        raise ValueError(f"n must be in 1..{DEFAULT_MAX_GROUND_SET}, got {n}")
+    level: list[tuple[Blocks, tuple[int, ...]]] = [((), ())]
+    for e in range(n):
+        grown = []
+        for blocks, open_ in level:
+            grown.append((blocks + ((e,),), open_ + (len(blocks),)))
+            for t, i in enumerate(open_):
+                joined = blocks[:i] + (blocks[i] + (e,),) + blocks[i + 1 :]
+                grown.append((joined, open_[: t + 1]))
+        level = grown
+    pairs = []
+    for blocks in sorted(blocks for blocks, _ in level):
+        co = _complement(blocks, n)
+        if len(co) + len(_complement(co, n)) != n + 1:
+            raise RuntimeError(f"Kreweras complement of {blocks} is crossing: {co}")
+        pairs.append((blocks, co))
+    return tuple(pairs)
+
+
+def enumerate_nc(n: int) -> tuple[Partition, ...]:
     """All non-crossing partitions of {1..n}, lexicographic on canonical form."""
-    if n < 1 or n > max_n:
-        raise ValueError(f"n must be in 1..{max_n}, got {n}")
-    return tuple(Partition(n, blocks) for blocks in _nc_block_sets(n))
+    return tuple(_one_based(n, blocks) for blocks, _ in nc_pairs(n))
 
 
 def perm_of(p: Partition) -> PartitionPermutation:
@@ -188,18 +205,15 @@ def perm_of(p: Partition) -> PartitionPermutation:
     return PartitionPermutation(p.n, tuple(images))
 
 
-@lru_cache(maxsize=None)
-def _kreweras_cached(p: Partition) -> Partition:
-    comp = perm_of(p).inverse().compose(PartitionPermutation.forward_cycle(p.n))
-    q = comp.cycle_partition()
+def kreweras(p: Partition) -> Partition:
+    """Kreweras complement: perm(p) composed with perm(result) is the forward cycle."""
+    co = _complement(_zero_based(p), p.n)
+    if len(p.blocks) + len(co) != p.n + 1:
+        raise ValueError(f"partition is crossing: {p}")
+    q = _one_based(p.n, co)
     if not is_noncrossing(q):
         raise RuntimeError(f"Kreweras complement of {p} is crossing: {q}")
     return q
-
-
-def kreweras(p: Partition) -> Partition:
-    """Kreweras complement: perm(p) composed with perm(result) is the forward cycle."""
-    return _kreweras_cached(p)
 
 
 def leq(p: Partition, q: Partition) -> bool:

@@ -20,6 +20,7 @@ Word = tuple[int, ...]
 
 MAX_SET_PARTITION_N = 9
 MAX_SEARCH_N = 8
+MAX_SUITE_ORDER = 8
 MAX_INVERSION_ORDER = 5
 
 
@@ -168,6 +169,9 @@ def brute_force_family_moments(fam, order: int):
 
 def run_suite(name: str, order: int = 4) -> list[OracleReport]:
     """Run one named verification suite; 'all' chains every suite."""
+    if not 1 <= order <= MAX_SUITE_ORDER:
+        # the dense s=2 series suite grows about sixfold per order
+        raise ValueError(f"suite order must be in 1..{MAX_SUITE_ORDER}, got {order}")
     suites = {
         "ncpartition": _suite_ncpartition,
         "series": _suite_series,

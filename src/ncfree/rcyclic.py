@@ -35,9 +35,9 @@ from .freeprob import (
     phi_poly,
     single_generator_form,
 )
+from .ncpartition import nc_pairs
 from .series import (
     Series,
-    _nc_pairs,
     ext_boxed_convolve,
     geometric,
     h_series,
@@ -299,7 +299,7 @@ def _scaled_cumulant(
     # its first vanishing block.  Module level, not a closure over memo, so
     # the memo is freed on return rather than by the cycle collector.
     acc = scaled_moment(idx)
-    for blocks, _ in _nc_pairs(len(idx)):
+    for blocks, _ in nc_pairs(len(idx)):
         if len(blocks) == 1:
             continue
         factors = []

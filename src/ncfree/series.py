@@ -29,10 +29,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .ncpartition import Partition, enumerate_nc, kreweras
+from .ncpartition import Partition, nc_pairs
 
 Word = tuple[int, ...]
 
@@ -125,21 +125,6 @@ def gen_coef(f: Series, w: Iterable[int], p: Partition) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
-def _nc_pairs(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]], ...]:
-    # per partition: (blocks, complement blocks) as 0-based position tuples
-    out = []
-    for p in enumerate_nc(n):
-        q = kreweras(p)
-        out.append(
-            (
-                tuple(tuple(e - 1 for e in b) for b in p.blocks),
-                tuple(tuple(e - 1 for e in b) for b in q.blocks),
-            )
-        )
-    return tuple(out)
-
-
 def _convolve(f: Series, g: Series, project: Callable[[int], int] | None) -> dict[Word, Fraction]:
     # Iterate over fillings of each partition's blocks by support words of f;
     # every word with a nonzero output coefficient arises this way, so sparse
@@ -153,7 +138,7 @@ def _convolve(f: Series, g: Series, project: Callable[[int], int] | None) -> dic
     out: dict[Word, Fraction] = {}
     for n in range(1, f.order + 1):
         acc: dict[Word, int] = {}
-        for blocks, co_blocks in _nc_pairs(n):
+        for blocks, co_blocks in nc_pairs(n):
             pools = []
             for b in blocks:
                 pool = supp.get(len(b))
@@ -237,7 +222,7 @@ def boxed_inverse(f: Series) -> Series:
         m, ic = over_lcm(inv.items())
         pairs = [
             (blocks, co_blocks, lf ** (n - 1 - len(blocks)) * m ** (len(blocks) - 1))
-            for blocks, co_blocks in _nc_pairs(n)
+            for blocks, co_blocks in nc_pairs(n)
             if len(blocks) != n
         ]
         for w in itertools.product(range(1, s + 1), repeat=n):

@@ -3,12 +3,13 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from hypothesis import strategies as st
 
 from ncfree.freeprob import CumulantModel, NcPolynomial, phi_poly, single_generator_form
-from ncfree.ncpartition import enumerate_nc, kreweras
+from ncfree.ncpartition import Partition, PartitionPermutation, enumerate_nc, kreweras, perm_of
 from ncfree.opvalued import OperatorMatrix, ScalarMatrix
 from ncfree.oracle import nc_by_filter
 from ncfree.rcyclic import MatrixFamily, RCyclicFamily, entry_letter
@@ -175,6 +176,55 @@ def cumulant_of_elements(model: CumulantModel, polys) -> Fraction:
         return acc
 
     return k(tuple(polys))
+
+
+# -- recursive NC(n) pipeline -------------------------------------------------
+# The library generates NC(n) by stack insertion and reads complements off
+# integer arrays; this is the recursive first-block enumeration with a sort
+# per partition and complements through permutation objects, exactly as the
+# library once did.
+
+
+@lru_cache(maxsize=None)
+def _nc_block_sets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # All non-crossing partitions of {1..n} as block tuples; n = 0 gives the
+    # empty partition so the gap recursion below composes cleanly.
+    if n == 0:
+        return ((),)
+    out = []
+    rest = list(range(2, n + 1))
+    for size in range(0, n):
+        for extra in itertools.combinations(rest, size):
+            first = (1,) + extra
+            # the complement splits into the gaps between consecutive
+            # elements of the block containing 1
+            bounds = list(first) + [n + 1]
+            gap_parts = []
+            for t in range(len(first)):
+                gap = list(range(bounds[t] + 1, bounds[t + 1]))
+                gap_parts.append((gap, _nc_block_sets(len(gap))))
+            for combo in itertools.product(*(parts for _, parts in gap_parts)):
+                blocks = [first]
+                for (gap, _), sub in zip(gap_parts, combo):
+                    for b in sub:
+                        blocks.append(tuple(gap[e - 1] for e in b))
+                out.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
+    return tuple(sorted(out))
+
+
+def recursive_nc_pairs(n: int):
+    """(blocks, complement blocks) per pi in NC(n), 0-based, in lexicographic order."""
+    out = []
+    for blocks in _nc_block_sets(n):
+        p = Partition(n, blocks)
+        q = perm_of(p).inverse().compose(PartitionPermutation.forward_cycle(n)).cycle_partition()
+        out.append(
+            (
+                tuple(tuple(e - 1 for e in b) for b in p.blocks),
+                tuple(tuple(e - 1 for e in b) for b in q.blocks),
+            )
+        )
+    return tuple(out)
 
 
 # -- dense reference scans over every index pattern ---------------------------

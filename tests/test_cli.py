@@ -273,7 +273,7 @@ def test_cli_rcyclic_order_past_partition_cap(tmp_path, capsys):
         assert_usage_error(run(["rcyclic", action, "--spec", path]), capsys)
 
 
-@pytest.mark.parametrize("order", [13, 14])
+@pytest.mark.parametrize("order", [9, 10, 13, 14])
 def test_cli_verify_order_past_partition_cap(order, capsys):
     assert_usage_error(run(["verify", "--order", str(order)]), capsys)
 
@@ -286,3 +286,26 @@ def test_cli_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert proc.stdout == "False\n"
+
+
+def test_bundled_scripts_run():
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ncfree.__file__))}
+
+    def call(*argv):
+        return subprocess.run(
+            [sys.executable, *argv], cwd=repo, env=env, capture_output=True, text=True, timeout=60
+        )
+
+    proc = call("scripts/worked_examples.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "{1}{2,4}{3}{5}" in proc.stdout
+    specs = sorted(f for f in os.listdir(os.path.join(repo, "scripts")) if f.endswith(".spec"))
+    assert specs
+    for spec in specs:
+        proc = call(
+            "-c", "import sys; from ncfree.cli import run; sys.exit(run(sys.argv[1:]))",
+            "rcyclic", "moments", "--spec", os.path.join("scripts", spec),
+        )
+        assert proc.returncode == 0, (spec, proc.stderr)
+        assert proc.stdout

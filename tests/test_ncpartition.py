@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ncfree import oracle
 from ncfree.ncpartition import (
     Partition,
     PartitionPermutation,
@@ -10,9 +11,11 @@ from ncfree.ncpartition import (
     is_noncrossing,
     kreweras,
     leq,
+    nc_pairs,
     perm_of,
     restrict,
 )
+from helpers import recursive_nc_pairs
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -48,6 +51,14 @@ def test_is_noncrossing_known_cases():
     assert not is_noncrossing(Partition.of(4, [[1, 3], [2, 4]]))
     assert is_noncrossing(Partition.of(4, [[1, 4], [2, 3]]))
     assert is_noncrossing(Partition.of(1, [[1]]))
+    with pytest.raises(ValueError, match="crossing"):
+        kreweras(Partition.of(4, [[1, 3], [2, 4]]))
+
+
+def test_is_noncrossing_matches_four_point_test():
+    for n in range(1, 9):
+        for p in oracle.all_set_partitions(n):
+            assert is_noncrossing(p) == (not oracle._crosses(p)), p
 
 
 def test_enumeration_is_sorted_and_noncrossing():
@@ -61,6 +72,14 @@ def test_enumeration_is_sorted_and_noncrossing():
 def test_enumeration_rejects_large_n():
     with pytest.raises(ValueError):
         enumerate_nc(13)
+    for n in (0, 13):
+        with pytest.raises(ValueError):
+            nc_pairs(n)
+
+
+def test_nc_pairs_match_recursive_pipeline():
+    for n in range(1, 10):
+        assert nc_pairs(n) == recursive_nc_pairs(n)
 
 
 def test_perm_of_cycles_blocks():
@@ -152,10 +171,21 @@ def test_invariants_raise_without_assert(monkeypatch):
     # the checks are real raises, so they hold under python -O as well
     import ncfree.ncpartition as ncp
 
-    p = Partition.singletons(3)
-    monkeypatch.setattr(ncp, "is_noncrossing", lambda part: part == p)
+    # pi = {1,2}{3,4}{5,6}; a forged complement {1,3}{2,4}{5}{6} keeps the
+    # block count, so only the check on the complement can catch it
+    p = Partition.of(6, [[1, 2], [3, 4], [5, 6]])
+    forged = ((0, 2), (1, 3), (4,), (5,))
+    real = ncp._complement
+
+    def forge(blocks, n):
+        return forged if blocks == ((0, 1), (2, 3), (4, 5)) else real(blocks, n)
+
+    monkeypatch.setattr(ncp, "_complement", forge)
     with pytest.raises(RuntimeError, match="crossing"):
-        ncp._kreweras_cached.__wrapped__(p)
+        kreweras(p)
+    nc_pairs.cache_clear()
+    with pytest.raises(RuntimeError, match="crossing"):
+        nc_pairs(6)
     inner, outer = Partition.whole(2), Partition.whole(1)
     monkeypatch.setattr(ncp, "is_noncrossing", lambda part: part.n < 3)
     with pytest.raises(RuntimeError, match="crossing"):

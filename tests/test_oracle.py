@@ -90,3 +90,9 @@ def test_run_suite_all_green():
     assert any("kreweras" in n for n in names)
     with pytest.raises(ValueError):
         run_suite("bogus", order=3)
+
+
+def test_run_suite_rejects_order_past_cap():
+    for order in (0, 9):
+        with pytest.raises(ValueError, match="order"):
+            run_suite("all", order)
