@@ -5,6 +5,14 @@ rational).  The state of a word is the sum over non-crossing partitions of
 the products of table entries on the restricted subwords; polynomials in the
 generators are evaluated by linearity.  The state is not assumed tracial.
 
+States are computed by the first-block recursion: grouping the partitions by
+the block V that holds the first letter, the state of w is the sum over V of
+the cumulant of w restricted to V times the states of the gaps V leaves.  V
+is built left to right and extended only while its letters spell a prefix of
+a table word, so on a sparse table almost no candidate block is tried.  All
+of it runs on integers: with the table as numerators over its lcm L, the
+state of a word of length n is one integer over L^n, cached per model.
+
 Moment series and R-transforms convert between the two coefficient systems
 through boxed convolution with the zeta and Moebius series.
 """
@@ -17,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .ncpartition import nc_pairs
+from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .series import Series, boxed_convolve, moebius, over_lcm, zeta
 
 Word = tuple[int, ...]
@@ -62,6 +70,11 @@ class CumulantModel:
         """(L, table times L): the lcm L of the table's denominators, and every
         cumulant as an integer numerator over it."""
         return over_lcm(self.items)
+
+    @cached_property
+    def prefixes(self) -> frozenset[Word]:
+        """Every nonempty prefix of a table word, table words included."""
+        return frozenset(w[:k] for w, _ in self.items for k in range(1, len(w) + 1))
 
     @cached_property
     def _phi_cache(self) -> dict[Word, int]:
@@ -162,30 +175,51 @@ def single_generator_form(p: NcPolynomial) -> tuple[Fraction, int] | None:
     raise ValueError(f"entry is not a scalar multiple of a single generator: {p.items}")
 
 
+def integer_terms(
+    polys: Sequence[NcPolynomial],
+) -> tuple[int, list[tuple[tuple[Word, int], ...]]]:
+    """(P, terms): the lcm P of the polynomials' coefficient denominators, and
+    each polynomial as its (word, coefficient times P) pairs."""
+    den = math.lcm(*(v.denominator for p in polys for _, v in p.items))
+    terms = [tuple((w, v.numerator * (den // v.denominator)) for w, v in p.items) for p in polys]
+    return den, terms
+
+
 def _phi_numerator(model: CumulantModel, word: Word) -> int:
-    # phi(word) * L^n: each partition with k blocks gives (prod t) / L^k over
-    # the table's integer numerators t, lifted by L^(n-k) to the shared L^n
+    # phi(word) * L^n by the first-block recursion: the block V holding
+    # position 0 contributes t(word|V) * L^(|V|-1) * prod over its gaps g of
+    # phi(g) * L^|g|.  V grows left to right while word|V is a table prefix;
+    # gap states come from the same cache (module-level recursion, at most n
+    # deep, so nothing holds a reference cycle).
     n = len(word)
     if n == 0:
         return 1
-    if n > model.order:
-        raise ValueError(f"word of length {n} exceeds model order {model.order}")
     cache = model._phi_cache
     hit = cache.get(word)
     if hit is not None:
         return hit
+    if n > model.order:
+        raise ValueError(f"word of length {n} exceeds model order {model.order}")
+    if n > DEFAULT_MAX_GROUND_SET:
+        raise ValueError(f"word of length {n} exceeds the cap of {DEFAULT_MAX_GROUND_SET} letters")
     den, table = model.numerators
-    lifts = [den ** (n - k) for k in range(n + 1)]
+    prefixes = model.prefixes
     acc = 0
-    for blocks, _ in nc_pairs(n):
-        term = lifts[len(blocks)]
-        for b in blocks:
-            c = table.get(tuple(word[pos] for pos in b))
-            if c is None:
-                break
-            term *= c
-        else:
-            acc += term
+    # (last position in V, letters of word|V, product of the closed gaps' states)
+    stack = [(0, word[:1], 1)] if word[:1] in prefixes else []
+    while stack:
+        last, letters, gaps = stack.pop()
+        t = table.get(letters)
+        if t is not None:
+            tail = _phi_numerator(model, word[last + 1 :])
+            if tail:
+                acc += t * gaps * tail * den ** (len(letters) - 1)
+        for nxt in range(last + 1, n):
+            grown = letters + (word[nxt],)
+            if grown in prefixes:
+                gap = _phi_numerator(model, word[last + 1 : nxt])
+                if gap:
+                    stack.append((nxt, grown, gaps * gap))
     cache[word] = acc
     return acc
 
@@ -193,26 +227,25 @@ def _phi_numerator(model: CumulantModel, word: Word) -> int:
 def phi_word(model: CumulantModel, w: Iterable[int]) -> Fraction:
     """State of a product of generators: sum of cumulant products over NC(n).
 
-    Sums on integers: with the table as integer numerators over its lcm L,
-    the state of a word of length n is one integer over L^n, made a Fraction
-    once.
+    Computed by the first-block recursion over table prefixes, on integers:
+    with the table as integer numerators over its lcm L, the state of a word
+    of length n is one integer over L^n, made a Fraction once.  Words longer
+    than the model order or than DEFAULT_MAX_GROUND_SET raise ValueError.
     """
     word = tuple(w)
     return Fraction(_phi_numerator(model, word), model.numerators[0] ** len(word))
 
 
 def phi_poly(model: CumulantModel, p: NcPolynomial) -> Fraction:
-    """State of a polynomial by linearity, summed as one integer over
-    P L^deg (P the lcm of the coefficient denominators) and divided once."""
+    """State of a polynomial by linearity: the first-block word states summed
+    as one integer over P L^deg (P the lcm of the coefficient denominators)
+    and divided once."""
     den = model.numerators[0]
     deg = p.degree()
-    p_den = math.lcm(*(v.denominator for _, v in p.items))
+    p_den, (terms,) = integer_terms([p])
     acc = 0
-    for w, v in p.items:
-        acc += (
-            v.numerator * (p_den // v.denominator)
-            * _phi_numerator(model, w) * den ** (deg - len(w))
-        )
+    for w, c in terms:
+        acc += c * _phi_numerator(model, w) * den ** (deg - len(w))
     return Fraction(acc, p_den * den**deg)
 
 
@@ -222,6 +255,11 @@ def moment_series(
     """Joint moment series of the elements: coefficient at (r_1..r_n) is the
     state of the product element_{r_1} * ... * element_{r_n}.
 
+    The walk over (r_1..r_n) carries that product as integer numerators over
+    P^n (P the lcm of the elements' coefficient denominators), drops the
+    words that cancel, and sums the first-block word states over P^n L^deg;
+    each stored coefficient is one Fraction.
+
     Raises when a product word outgrows the model order; pick the order so
     that n times the maximal entry degree stays within it.
     """
@@ -229,18 +267,26 @@ def moment_series(
     s = len(elements)
     if s < 1:
         raise ValueError("need at least one element")
+    den = model.numerators[0]
+    p_den, terms = integer_terms(elements)
     out: dict[Word, Fraction] = {}
-
-    def walk(word: Word, prod: NcPolynomial) -> None:
-        val = phi_poly(model, prod)
-        if val:
-            out[word] = val
+    stack = [((r,), dict(terms[r - 1])) for r in range(s, 0, -1)]
+    while stack:
+        word, prod = stack.pop()
+        deg = max(map(len, prod), default=0)
+        acc = 0
+        for w, c in prod.items():
+            acc += c * _phi_numerator(model, w) * den ** (deg - len(w))
+        if acc:
+            out[word] = Fraction(acc, p_den ** len(word) * den**deg)
         if len(word) < n_max:
-            for r in range(1, s + 1):
-                walk(word + (r,), prod * elements[r - 1])
-
-    for r in range(1, s + 1):
-        walk((r,), elements[r - 1])
+            for r in range(s, 0, -1):
+                grown: dict[Word, int] = {}
+                for w1, c1 in prod.items():
+                    for w2, c2 in terms[r - 1]:
+                        w = w1 + w2
+                        grown[w] = grown.get(w, 0) + c1 * c2
+                stack.append((word + (r,), {w: c for w, c in grown.items() if c}))
     return Series.of(s, n_max, out)
 
 

@@ -26,13 +26,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .freeprob import (
     CumulantModel,
     NcPolynomial,
-    phi_poly,
+    _phi_numerator,
+    integer_terms,
     single_generator_form,
 )
 from .ncpartition import nc_pairs
@@ -317,6 +318,20 @@ def _scaled_cumulant(
     return acc
 
 
+def _degree_bounded(
+    degs: Sequence[int], n: int, budget: int, head: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    # index tuples of length n with total degree at most budget, in
+    # itertools.product order; a branch stops as soon as its partial degree
+    # passes the budget
+    if len(head) == n:
+        yield head
+        return
+    for t, deg in enumerate(degs):
+        if deg <= budget:
+            yield from _degree_bounded(degs, n, budget - deg, head + (t,))
+
+
 def closure_check(
     fam: MatrixFamily,
     new_grid: Sequence[Sequence[NcPolynomial]],
@@ -327,15 +342,19 @@ def closure_check(
     Joint cumulants of the enlarged entry list are computed by the triangular
     moment inversion, so entries may be arbitrary polynomials (products,
     linear combinations, scalars).  Checks every non-cyclic pattern with
-    total entry degree and tuple length up to the budget.
+    total entry degree and tuple length up to the budget, walking the index
+    tuples depth first in lexicographic order and cutting a branch once its
+    degree passes the budget.
 
-    The inversion runs on integers.  With P the lcm of the entries'
-    coefficient denominators and L that of the model's cumulants, the
-    cumulant of n entries of total degree D has a denominator dividing
-    P^n L^D, and that scale is multiplicative over the blocks of any
-    partition of the entries.  So the scaled cumulants are integers obeying
-    the moment-cumulant relation with no lift, and only whether they vanish
-    is read.
+    Everything runs on integers and nothing is divided.  With P the lcm of
+    the entries' coefficient denominators and L that of the model's
+    cumulants, each entry is an integer term list over P, and the moment of
+    n entries of total degree D, scaled by P^n L^D, is the sum over one term
+    per entry of the product of the term coefficients times the first-block
+    state numerator of the concatenated word, lifted by L^(D - its length).
+    That scale is multiplicative over the blocks of any partition of the
+    entries, so the scaled cumulants obey the moment-cumulant relation with
+    no lift, and only whether they vanish is read.
     """
     model = fam.model
     n_budget = model.order if budget is None else budget
@@ -354,23 +373,25 @@ def closure_check(
             elems.append(new_grid[i - 1][j - 1])
             tags.append((fam.s + 1, i, j))
     degs = [e.degree() for e in elems]
-    p_den = math.lcm(*(v.denominator for e in elems for _, v in e.items))
+    terms = integer_terms(elems)[1]
     l_den = model.numerators[0]
 
     memo: dict[tuple[int, ...], int] = {}
 
     def scaled_moment(idx: tuple[int, ...]) -> int:
-        moment = phi_poly(model, reduce(lambda a, b: a * b, (elems[t] for t in idx)))
-        scale = p_den ** len(idx) * l_den ** sum(degs[t] for t in idx)
-        lift, rest = divmod(scale, moment.denominator)
-        if rest:
-            raise RuntimeError(f"moment {moment} of entries {idx} is not integral at scale")
-        return moment.numerator * lift
+        total = sum(degs[t] for t in idx)
+        acc = 0
+        for choice in itertools.product(*(terms[t] for t in idx)):
+            coeff = 1
+            word: Word = ()
+            for w, c in choice:
+                coeff *= c
+                word += w
+            acc += coeff * _phi_numerator(model, word) * l_den ** (total - len(word))
+        return acc
 
     for n in range(1, n_budget + 1):
-        for idx in itertools.product(range(len(elems)), repeat=n):
-            if sum(degs[t] for t in idx) > n_budget:
-                continue
+        for idx in _degree_bounded(degs, n, n_budget):
             pairs = tuple(tags[t][1:] for t in idx)
             if all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n)):
                 continue

@@ -439,6 +439,8 @@ def slow_boxed_convolve(f: Series, g: Series, d: int | None = None) -> Series:
 def slow_phi_word(model: CumulantModel, word: Word) -> Fraction:
     if not word:
         return _ONE
+    if len(word) > model.order:
+        raise ValueError(f"word of length {len(word)} exceeds model order {model.order}")
     acc = _ZERO
     for p in enumerate_nc(len(word)):
         term = _ONE
@@ -453,6 +455,30 @@ def slow_phi_poly(model: CumulantModel, p: NcPolynomial) -> Fraction:
     for w, v in p.items:
         acc += v * slow_phi_word(model, w)
     return acc
+
+
+def slow_moment_series(
+    model: CumulantModel, elements: Sequence[NcPolynomial], order: int | None = None
+) -> Series:
+    """The walk over (r_1..r_n) carrying each product as an NcPolynomial built
+    with Fraction coefficients, states from slow_phi_poly."""
+    n_max = model.order if order is None else order
+    s = len(elements)
+    if s < 1:
+        raise ValueError("need at least one element")
+    out: dict[Word, Fraction] = {}
+
+    def walk(word: Word, prod: NcPolynomial) -> None:
+        val = slow_phi_poly(model, prod)
+        if val:
+            out[word] = val
+        if len(word) < n_max:
+            for r in range(1, s + 1):
+                walk(word + (r,), prod * elements[r - 1])
+
+    for r in range(1, s + 1):
+        walk((r,), elements[r - 1])
+    return Series.of(s, n_max, out)
 
 
 def cellwise_mul(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
@@ -580,6 +606,62 @@ def sparse_models(draw, generators: int, order: int) -> CumulantModel:
     words = st.lists(st.integers(1, generators), min_size=1, max_size=order).map(tuple)
     table = draw(st.dictionaries(words, mixed_values(), max_size=6))
     return CumulantModel.of(generators, order, table)
+
+
+@st.composite
+def prefix_sharing_models(draw, generators: int, order: int) -> CumulantModel:
+    """Tables whose words share prefixes (a drawn word with some of its
+    prefixes and one-letter extensions), and, for two or more generators,
+    non-tracial pairs: (1, 2) and (2, 1) with different values."""
+    word = st.lists(st.integers(1, generators), min_size=1, max_size=order).map(tuple)
+    table = {}
+    for base in draw(st.lists(word, max_size=3)):
+        for k in range(1, len(base) + 1):
+            if k == len(base) or draw(st.booleans()):
+                table[base[:k]] = draw(mixed_values())
+        if len(base) < order and draw(st.booleans()):
+            table[base + (draw(st.integers(1, generators)),)] = draw(mixed_values())
+    if generators >= 2 and order >= 2 and draw(st.booleans()):
+        v12 = draw(mixed_values())
+        table[(1, 2)] = v12
+        table[(2, 1)] = draw(mixed_values().filter(lambda v: v != v12))
+    return CumulantModel.of(generators, order, table)
+
+
+@st.composite
+def nested_words(draw, model: CumulantModel, max_len: int) -> Word:
+    """A word of a drawn length from max_len // 2 to max_len, grown by
+    inserting table words (or single letters) at drawn positions, so first
+    blocks meet empty gaps at the start, in the middle and at the end as well
+    as filled ones."""
+    target = draw(st.integers(max_len // 2, max_len))
+    pool = [w for w, _ in model.items] + [(g,) for g in range(1, model.generators + 1)]
+    word: Word = ()
+    while len(word) < target:
+        piece = draw(st.sampled_from([p for p in pool if len(word) + len(p) <= target]))
+        at = draw(st.integers(0, len(word)))
+        word = word[:at] + piece + word[at:]
+    return word
+
+
+@st.composite
+def moment_elements(draw, generators: int):
+    """One to three elements of degree <= 2: random sparse, zero, constant,
+    or the pair c + x, c - x, whose products cancel the words of x."""
+    elems = []
+    while not elems or (len(elems) < 3 and draw(st.booleans())):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "constant", "cancelling"]))
+        if kind == "zero":
+            elems.append(NcPolynomial.zero())
+        elif kind == "constant":
+            elems.append(NcPolynomial.unit().scale(draw(mixed_values())))
+        elif kind == "cancelling" and len(elems) < 2:
+            c = NcPolynomial.unit().scale(draw(mixed_values()))
+            x = draw(sparse_polynomials(generators, 2))
+            elems += [c + x, c - x]
+        else:
+            elems.append(draw(sparse_polynomials(generators, 2)))
+    return elems
 
 
 @st.composite

@@ -16,11 +16,16 @@ from ncfree.freeprob import (
     r_transform,
     single_generator_form,
 )
+from ncfree.ncpartition import nc_pairs
 from ncfree.series import Series, coef
 from helpers import (
     cumulant_of_elements,
+    moment_elements,
+    nested_words,
+    prefix_sharing_models,
     random_invertible_series,
     random_model,
+    slow_moment_series,
     slow_phi_poly,
     slow_phi_word,
     sparse_models,
@@ -79,6 +84,33 @@ def test_circular_moments():
 def test_phi_word_guards_order():
     with pytest.raises(ValueError):
         phi_word(SEMICIRCULAR, (1,) * 9)
+
+
+def test_phi_word_caps_ground_set():
+    model = CumulantModel.of(1, 13, {(1, 1): 1})
+    with pytest.raises(ValueError):
+        phi_word(model, (1,) * 13)
+
+
+def test_phi_word_walks_no_partitions():
+    model = CumulantModel.of(1, 12, {(1, 1): 1})
+    before = nc_pairs.cache_info()
+    assert phi_word(model, (1,) * 12) == 132
+    assert nc_pairs.cache_info() == before
+
+
+def test_phi_first_block_gaps():
+    # non-tracial: (1, 2) and (2, 1) differ; the first block meets an empty
+    # gap between adjacent letters and at the end, a filled gap in the
+    # middle, and a whole word left to the tail when it is a singleton
+    model = CumulantModel.of(2, 6, {
+        (1,): Fraction(1, 2), (1, 2): 2, (2, 1): Fraction(-1, 3),
+        (2, 2): 3, (1, 2, 1): Fraction(5, 7),
+    })
+    assert phi_word(model, (1, 2)) == 2
+    assert phi_word(model, (2, 1)) == Fraction(-1, 3)
+    for word in [(1, 2, 1), (1, 2, 2, 1), (1, 1, 2, 2), (1, 2, 1, 2, 2, 1), (2, 1, 1, 2)]:
+        assert phi_word(model, word) == slow_phi_word(model, word)
 
 
 def test_phi_poly_linear():
@@ -177,11 +209,34 @@ def test_moment_cumulant_roundtrip(seed):
     assert r.coeffs == model.table
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), generators=st.integers(1, 3), order=st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), generators=st.integers(1, 3), order=st.integers(1, 8))
 def test_phi_matches_term_by_term(data, generators, order):
-    model = data.draw(sparse_models(generators, order))
+    model = data.draw(st.one_of(
+        sparse_models(generators, order), prefix_sharing_models(generators, order)
+    ))
     word = data.draw(st.lists(st.integers(1, generators), max_size=order).map(tuple))
+    assert phi_word(model, word) == slow_phi_word(model, word)
+    word = data.draw(nested_words(model, order))
     assert phi_word(model, word) == slow_phi_word(model, word)
     poly = data.draw(sparse_polynomials(generators, order))
     assert phi_poly(model, poly) == slow_phi_poly(model, poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    generators=st.integers(1, 3),
+    model_order=st.integers(1, 6),
+    order=st.integers(1, 3),
+)
+def test_moment_series_matches_product_walk(data, generators, model_order, order):
+    model = data.draw(sparse_models(generators, model_order))
+    elements = data.draw(moment_elements(generators))
+    try:
+        expected = slow_moment_series(model, elements, order)
+    except ValueError:
+        with pytest.raises(ValueError):
+            moment_series(model, elements, order)
+        return
+    assert moment_series(model, elements, order) == expected

@@ -245,6 +245,25 @@ def test_closure_scale_follows_entry_degree():
     assert closure_check(fam, square, 3) == fraction_closure_check(fam, square, 3) == (True, None)
 
 
+@pytest.mark.parametrize("corner", ["constant", "zero"])
+def test_closure_witness_follows_product_order(corner):
+    # degree-0 corner among degree-2 cells, budget 3 < model order 4.  Within
+    # the budget the first non-cyclic pair with a nonzero cumulant is
+    # (a11 a12, a21), from the table word (1, 2, 3); (a22 a21, a12), from
+    # (4, 3, 2), comes later in itertools.product order but first in colex or
+    # reversed order; (a22^2 - 1, a22^2 - 1) has a nonzero cumulant at degree
+    # 4, so a walk that does not cut by degree stops there.
+    table = {(1, 1): 1, (4, 4): 1, (2, 3): 1, (3, 2): 1,
+             (1, 2, 3): Fraction(1, 2), (4, 3, 2): Fraction(-2, 3)}
+    fam = MatrixFamily.from_generator_entries(2, 1, CumulantModel.of(4, 4, table))
+    a = [[fam.entry(1, i, j) for j in (1, 2)] for i in (1, 2)]
+    one = NcPolynomial.unit()
+    b11 = one.scale(2) if corner == "constant" else NcPolynomial.zero()
+    grid = [[b11, a[1][1] * a[1][1] - one], [a[0][0] * a[0][1], a[1][1] * a[1][0]]]
+    expected = (False, ((2, 1), ((2, 1), (2, 1))))
+    assert closure_check(fam, grid, 3) == fraction_closure_check(fam, grid, 3) == expected
+
+
 def test_closure_budget_capped_by_model_order():
     fam = mixed_2x2(4)
     diag = [[NcPolynomial.unit(), NcPolynomial.zero()], [NcPolynomial.zero(), NcPolynomial.unit()]]
