@@ -10,7 +10,13 @@ matrix into the neighbouring argument (on the left of the following argument
 when the block starts the word).
 
 The module also hosts the amalgamated-freeness word check and the
-reconstruction of a cyclic table from diagonal-valued cumulant data.
+reconstruction of a cyclic table from diagonal-valued cumulant data.  The
+word check reads its verdict off the cumulant table when it can: by the
+theorem of Nica, Shlyakhtenko and Speicher, matrices are R-cyclic exactly
+when the algebra they generate with the diagonal is free from the scalar
+matrices over the diagonal, so generator-entry matrices whose table shows no
+non-cyclic chain within the budget pass without a word search.  The search
+runs otherwise, and it alone produces witnesses.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .freeprob import CumulantModel, NcPolynomial, phi_poly, product_sum
-from .ncpartition import Partition, enumerate_nc, restrict
-from .rcyclic import _chain_letters, _chain_value, _nonzero_chains, _parsed_grids
+from .ncpartition import DEFAULT_MAX_GROUND_SET, Partition, enumerate_nc, restrict
+from .rcyclic import _chain_letters, _chain_value, _nonzero_chains, _parsed_grids, _scan
 
 Word = tuple[int, ...]
 
@@ -111,6 +117,13 @@ class ScalarMatrix:
     def scale(self, alpha: Fraction | int) -> "ScalarMatrix":
         a = Fraction(alpha)
         return ScalarMatrix(self.d, tuple(tuple(a * v for v in row) for row in self.rows))
+
+
+def _nonempty(mats: Iterable[OperatorMatrix]) -> list[OperatorMatrix]:
+    mats = list(mats)
+    if not mats:
+        raise ValueError("need at least one matrix")
+    return mats
 
 
 def _scaled_sum(pairs: Iterable[tuple[NcPolynomial, Fraction]]) -> NcPolynomial:
@@ -336,7 +349,7 @@ def check_chain_hypothesis(
     Returns (False, (r-word, j, index word)) on the first failure in
     (length, r-word, index word, j) order.
     """
-    mats = list(mats)
+    mats = _nonempty(mats)
     distinct: list[OperatorMatrix] = []
     for m in mats:
         if m not in distinct:
@@ -368,7 +381,7 @@ def dvalued_cumulant(
     under that hypothesis the value is diagonal with (i, i) entry the sum over
     chains closing at i of the chain cumulant times the diagonal weights.
     """
-    mats = list(mats)
+    mats = _nonempty(mats)
     n = len(mats)
     d = mats[0].d
     model = mats[0].model
@@ -404,7 +417,7 @@ def dvalued_cumulant(
 def odot(mats: Sequence[OperatorMatrix]):
     """Grid of formal chain sums: entry (i, j) maps each generator word that
     labels an entry chain from i to j to its coefficient."""
-    mats = list(mats)
+    mats = _nonempty(mats)
     n = len(mats)
     d = mats[0].d
     parsed = _parsed_grids(m.rows for m in mats)
@@ -479,6 +492,16 @@ def _inner_monomials(gens: Sequence[OperatorMatrix], budget: int):
     return pool
 
 
+def _cyclic_up_to(gens: Sequence[OperatorMatrix], budget: int) -> bool:
+    # entries parse as generators and no non-cyclic chain of length at most
+    # budget has a nonzero cumulant
+    try:
+        parsed = _parsed_grids(g.rows for g in gens)
+    except ValueError:
+        return False
+    return _scan(parsed, gens[0].model, budget)[1] is None
+
+
 def check_amalgamated_freeness(
     gens: Sequence[OperatorMatrix], budget: int
 ) -> tuple[bool, str | None]:
@@ -492,10 +515,39 @@ def check_amalgamated_freeness(
     degree then label, units first) is returned as a readable witness.
 
     Sound always; complete only up to the budget.
+
+    The words are searched only when the cumulant table cannot decide.  When
+    every entry is zero or a scaled single generator, the budget is at most
+    the model order (and the state's cap on word length), and the table walk
+    finds no non-cyclic entry chain up to the budget, the verdict is
+    (True, None) with no search.  That is sound: the diagonal expectation of
+    a word of entry degree at most the budget depends only on cumulants of
+    length at most the budget, so it equals that of the R-cyclic family with
+    the longer cumulants dropped, and by the theorem of Nica, Shlyakhtenko
+    and Speicher such a family is free from the scalar matrices over the
+    diagonal, so every word vanishes.  The theorem is algebraic and needs no
+    positivity.  Otherwise the search runs, so every witness, every verdict
+    limited by the budget and every error is the search's own.  An empty
+    list, or generators over different models or sizes, raise ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    gens = list(gens)
+    gens = _nonempty(gens)
+    model = gens[0].model
+    d = gens[0].d
+    if any(g.model != model or g.d != d for g in gens):
+        raise ValueError("generators must share one model and one size")
+    if budget <= min(model.order, DEFAULT_MAX_GROUND_SET) and _cyclic_up_to(gens, budget):
+        return True, None
+    return _word_search(gens, budget)
+
+
+def _word_search(
+    gens: Sequence[OperatorMatrix], budget: int
+) -> tuple[bool, str | None]:
+    # depth-first search over the alternating words of
+    # check_amalgamated_freeness, slot by slot, for the first word with a
+    # nonzero diagonal expectation
     model = gens[0].model
     d = gens[0].d
     pool = _inner_monomials(gens, budget)
@@ -551,7 +603,7 @@ def dcumulant_data(
     cumulant is recorded.  For an R-cyclic family this reproduces the cyclic
     table exactly.
     """
-    mats = list(mats)
+    mats = _nonempty(mats)
     d = mats[0].d
     s = len(mats)
     data: dict[tuple[Word, Word], Fraction] = {}

@@ -199,20 +199,35 @@ def _nonzero_chains(parsed, model: CumulantModel, n_max: int):
             )
 
 
-def _scan(fam: MatrixFamily, order: int | None):
-    # Returns (order, cyclic table, first non-cyclic chain or None); the
-    # witness is the least by (length, matrix word, index pattern), the order
-    # in which a scan of every pattern would meet it.
-    n_max = fam.model.order if order is None else order
+def _is_cyclic(pairs: Sequence[tuple[int, int]]) -> bool:
+    """Does each (row, column) index pair's column meet the next one's row,
+    cyclically?"""
+    n = len(pairs)
+    return all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n))
+
+
+def _scan(parsed, model: CumulantModel, n_max: int):
+    # Returns (cyclic table, first non-cyclic chain or None) over the chains
+    # of length at most n_max; the witness is the least by (length, matrix
+    # word, index pattern), the order in which a scan of every pattern would
+    # meet it.
     table: dict[TableKey, Fraction] = {}
     best = None
-    for rword, pairs, val in _nonzero_chains(_parsed_grids(fam.grids), fam.model, n_max):
-        n = len(rword)
-        if all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n)):
+    for rword, pairs, val in _nonzero_chains(parsed, model, n_max):
+        if _is_cyclic(pairs):
             table[(rword, tuple(j for _, j in pairs))] = val
-        elif best is None or (n, rword, pairs) < best:
-            best = (n, rword, pairs)
-    return n_max, table, None if best is None else best[1:]
+        elif best is None or (len(rword), rword, pairs) < best:
+            best = (len(rword), rword, pairs)
+    return table, None if best is None else best[1:]
+
+
+def _family_order(fam: MatrixFamily, order: int | None) -> int:
+    # the model defines no cumulant past its order, so no table can claim one
+    if order is None:
+        return fam.model.order
+    if order > fam.model.order:
+        raise ValueError(f"order {order} exceeds model order {fam.model.order}")
+    return order
 
 
 def is_rcyclic(
@@ -221,15 +236,18 @@ def is_rcyclic(
     """Look for a non-cyclic index pattern with a surviving cumulant.
 
     Returns (True, None) or (False, (matrix word, ((i_1, j_1), ...))) with the
-    first violation in (length, matrix word, index pattern) order.
+    first violation in (length, matrix word, index pattern) order.  An order
+    above the model order raises ValueError.
     """
-    witness = _scan(fam, order)[2]
+    n_max = _family_order(fam, order)
+    witness = _scan(_parsed_grids(fam.grids), fam.model, n_max)[1]
     return witness is None, witness
 
 
 def cyclic_family(fam: MatrixFamily, order: int | None = None) -> RCyclicFamily:
     """Read the cyclic table off a family after confirming it is R-cyclic."""
-    n_max, table, witness = _scan(fam, order)
+    n_max = _family_order(fam, order)
+    table, witness = _scan(_parsed_grids(fam.grids), fam.model, n_max)
     if witness is not None:
         raise ValueError(f"family is not R-cyclic; witness {witness}")
     return RCyclicFamily.of(fam.d, fam.s, n_max, table)
@@ -295,25 +313,29 @@ def _scaled_cumulant(
     idx: tuple[int, ...],
     memo: dict[tuple[int, ...], int],
     scaled_moment: Callable[[tuple[int, ...]], int],
+    table_value: Callable[[tuple[int, ...]], int | None],
 ) -> int:
-    # Moment-cumulant inversion on scaled integers; a partition is skipped at
-    # its first vanishing block.  Module level, not a closure over memo, so
-    # the memo is freed on return rather than by the cycle collector.
-    acc = scaled_moment(idx)
-    for blocks, _ in nc_pairs(len(idx)):
-        if len(blocks) == 1:
-            continue
-        factors = []
-        for b in blocks:
-            sub = tuple(idx[t] for t in b)
-            c = memo.get(sub)
-            if c is None:
-                c = _scaled_cumulant(sub, memo, scaled_moment)
-            if not c:
-                break
-            factors.append(c)
-        else:
-            acc -= math.prod(factors)
+    # The table's value when it has one, else the moment-cumulant inversion
+    # on scaled integers; a partition is skipped at its first vanishing
+    # block.  Module level, not a closure over memo, so the memo is freed on
+    # return rather than by the cycle collector.
+    acc = table_value(idx)
+    if acc is None:
+        acc = scaled_moment(idx)
+        for blocks, _ in nc_pairs(len(idx)):
+            if len(blocks) == 1:
+                continue
+            factors = []
+            for b in blocks:
+                sub = tuple(idx[t] for t in b)
+                c = memo.get(sub)
+                if c is None:
+                    c = _scaled_cumulant(sub, memo, scaled_moment, table_value)
+                if not c:
+                    break
+                factors.append(c)
+            else:
+                acc -= math.prod(factors)
     memo[idx] = acc
     return acc
 
@@ -355,12 +377,23 @@ def closure_check(
     That scale is multiplicative over the blocks of any partition of the
     entries, so the scaled cumulants obey the moment-cumulant relation with
     no lift, and only whether they vanish is read.
+
+    A tuple whose entries are all zero or scaled single generators needs no
+    inversion: its cumulant is the product of the coefficients times the
+    table entry of its generator word (zero if an entry is zero), so it is
+    read off the table, and the inversion of the other tuples reuses those
+    values for its blocks.  A budget below 1 or above the model order, or a
+    new grid that is not d x d, raises ValueError.
     """
     model = fam.model
     n_budget = model.order if budget is None else budget
+    if n_budget < 1:
+        raise ValueError("budget must be positive")
     if n_budget > model.order:
         raise ValueError(f"budget {n_budget} exceeds model order {model.order}")
     d = fam.d
+    if len(new_grid) != d or any(len(row) != d for row in new_grid):
+        raise ValueError(f"new grid must be {d} x {d}")
     elems: list[NcPolynomial] = []
     tags: list[tuple[int, int, int]] = []
     for r in range(1, fam.s + 1):
@@ -374,9 +407,31 @@ def closure_check(
             tags.append((fam.s + 1, i, j))
     degs = [e.degree() for e in elems]
     terms = integer_terms(elems)[1]
-    l_den = model.numerators[0]
+    l_den, numerators = model.numerators
+    # (c * P, letter) for an entry c x_letter, (0, 0) for a zero entry, None
+    # for anything else
+    forms = [
+        (ts[0][1], ts[0][0][0]) if len(ts) == 1 and len(ts[0][0]) == 1
+        else None if ts else (0, 0)
+        for ts in terms
+    ]
 
     memo: dict[tuple[int, ...], int] = {}
+
+    def table_value(idx: tuple[int, ...]) -> int | None:
+        # a chain of scaled generators has cumulant prod(c) * t(word) / L,
+        # which scaled by P^n L^n is prod(c P) * t_L(word) * L^(n - 1)
+        coeff = 1
+        word = []
+        for t in idx:
+            form = forms[t]
+            if form is None:
+                return None
+            coeff *= form[0]
+            word.append(form[1])
+        if not coeff:
+            return 0
+        return coeff * numerators.get(tuple(word), 0) * l_den ** (len(idx) - 1)
 
     def scaled_moment(idx: tuple[int, ...]) -> int:
         total = sum(degs[t] for t in idx)
@@ -393,9 +448,9 @@ def closure_check(
     for n in range(1, n_budget + 1):
         for idx in _degree_bounded(degs, n, n_budget):
             pairs = tuple(tags[t][1:] for t in idx)
-            if all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n)):
+            if _is_cyclic(pairs):
                 continue
-            if _scaled_cumulant(idx, memo, scaled_moment):
+            if _scaled_cumulant(idx, memo, scaled_moment, table_value):
                 rword = tuple(tags[t][0] for t in idx)
                 return False, (rword, pairs)
     return True, None

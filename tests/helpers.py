@@ -666,10 +666,11 @@ def moment_elements(draw, generators: int):
 
 @st.composite
 def closure_cases(draw, max_budget: dict[tuple[int, int], int]):
-    """(family, new grid, budget): an entry-generator family whose table holds
+    """(family, new grid, budget): a family whose entries are their own
+    generators, or those generators scaled or zeroed, whose table holds
     cyclic chains and perhaps one injected non-cyclic word, and a new matrix
-    that is either A Lam A' + Shift in the family's matrices (closed) or
-    sparse polynomials in the entries."""
+    that is A Lam A' + Shift in the family's matrices (closed), sparse
+    polynomials in the entries, or zero and scaled single generators."""
     d = draw(st.integers(1, 3))
     s = draw(st.integers(1, 2))
     budget = draw(st.integers(1, max_budget[(d, s)]))
@@ -693,7 +694,16 @@ def closure_cases(draw, max_budget: dict[tuple[int, int], int]):
         )
     model = CumulantModel.of(s * d * d, budget, table)
     fam = MatrixFamily.from_generator_entries(d, s, model)
+    scales = st.sampled_from([0, 1]) | mixed_values()
     if draw(st.booleans()):
+        # entry (r, i, j) keeps its letter, scaled or zeroed
+        fam = MatrixFamily.of(d, s, model, [
+            [[fam.entry(r, i, j).scale(draw(scales)) for j in range(1, d + 1)]
+             for i in range(1, d + 1)]
+            for r in range(1, s + 1)
+        ])
+    kind = draw(st.sampled_from(["closed", "sparse", "generators"]))
+    if kind == "closed":
         a = draw(st.integers(1, s))
         b = draw(st.integers(1, s))
         # integral weights leave the table's denominators uncovered
@@ -713,6 +723,8 @@ def closure_cases(draw, max_budget: dict[tuple[int, int], int]):
             for i in range(1, d + 1)
         ]
     else:
-        cell = sparse_polynomials(s * d * d, 2)
+        cell = sparse_polynomials(s * d * d, 2) if kind == "sparse" else st.builds(
+            lambda c, g: NcPolynomial.generator(g).scale(c), scales, st.integers(1, s * d * d)
+        )
         new_grid = [[draw(cell) for _ in range(d)] for _ in range(d)]
     return fam, new_grid, budget

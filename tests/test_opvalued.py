@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ncfree import opvalued
 from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.ncpartition import Partition, enumerate_nc
 from ncfree.opvalued import (
@@ -14,6 +15,7 @@ from ncfree.opvalued import (
     bvalued_cumulant_pi,
     check_amalgamated_freeness,
     check_chain_hypothesis,
+    _word_search,
     dcumulant_data,
     dvalued_cumulant,
     expect_b,
@@ -39,6 +41,7 @@ from helpers import (
     random_model,
     scalar_generator_families,
     sparse_polynomials,
+    two_free_mixed_2x2,
 )
 
 
@@ -270,17 +273,86 @@ def test_amalgamated_freeness_on_corpus():
         assert ok and witness is None
 
 
-def test_amalgamated_freeness_witness():
+def test_amalgamated_freeness_witness(monkeypatch):
+    searched = []
+
+    def search(gens, budget):
+        searched.append(budget)
+        return _word_search(gens, budget)
+
+    monkeypatch.setattr(opvalued, "_word_search", search)
     x = family_matrix(first_moment_family(4))
     ok, witness = check_amalgamated_freeness([x], budget=2)
     assert not ok
     assert witness == "1 V(2,1) A1"
+    assert searched == [2]
 
 
 def test_amalgamated_freeness_validates_budget():
     x = family_matrix(mixed_2x2(4))
     with pytest.raises(ValueError):
         check_amalgamated_freeness([x], budget=0)
+    # past the model order the word search's state raises, as it always has
+    with pytest.raises(ValueError, match="word of length 5 exceeds model order 4"):
+        check_amalgamated_freeness([x], budget=5)
+
+
+def test_rcyclic_generator_families_skip_the_word_search(monkeypatch):
+    def search(gens, budget):
+        raise AssertionError("word search entered")
+
+    monkeypatch.setattr(opvalued, "_word_search", search)
+    for fam in (circular_2x2(4), diagonal_free_2x2(4), mixed_2x2(4), two_free_mixed_2x2(4)):
+        mats = [family_matrix(fam, r) for r in range(1, fam.s + 1)]
+        assert check_amalgamated_freeness(mats, budget=4) == (True, None)
+
+
+# highest budget per (d, s) that keeps the word search near 0.1 s
+SEARCH_MAX_BUDGET = {(1, 1): 5, (1, 2): 5, (2, 1): 3, (2, 2): 2, (3, 1): 2, (3, 2): 1}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fam=scalar_generator_families(), data=st.data())
+def test_word_test_decision_matches_search(fam, data):
+    # non-cyclic table words of every length up to the model order meet
+    # budgets below and above them; a polynomial-entry matrix forces the search
+    mats = [family_matrix(fam, r) for r in range(1, fam.s + 1)]
+    cap = SEARCH_MAX_BUDGET[(fam.d, fam.s)]
+    if data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(mats))
+        mats.append(x.mul(x) if data.draw(st.booleans()) else x.add(x.mul(x)))
+        cap = 1 if fam.d * len(mats) > 3 else min(cap, 2)
+    budget = data.draw(st.integers(1, min(cap, fam.model.order)))
+
+    def outcome(test):
+        # polynomial entries may make the search evaluate a word past the
+        # model order; the error must then be the search's own
+        try:
+            return test(mats, budget)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(check_amalgamated_freeness) == outcome(_word_search)
+
+
+def test_opvalued_entry_points_reject_empty_lists():
+    for call in (
+        lambda: check_amalgamated_freeness([], 2),
+        lambda: check_chain_hypothesis([], 2),
+        lambda: dvalued_cumulant([]),
+        lambda: odot([]),
+        lambda: dcumulant_data([], 2),
+    ):
+        with pytest.raises(ValueError, match="need at least one matrix"):
+            call()
+
+
+def test_amalgamated_freeness_rejects_mixed_generators():
+    x = family_matrix(mixed_2x2(4))
+    smaller = OperatorMatrix.of(x.model, [[NcPolynomial.generator(1)]])
+    for other in (family_matrix(circular_2x2(4)), smaller):
+        with pytest.raises(ValueError, match="one model and one size"):
+            check_amalgamated_freeness([x, other], 2)
 
 
 def test_dcumulant_data_reproduces_cyclic_table():

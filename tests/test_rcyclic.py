@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ncfree import rcyclic
 from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.rcyclic import (
     MatrixFamily,
@@ -269,6 +270,48 @@ def test_closure_budget_capped_by_model_order():
     diag = [[NcPolynomial.unit(), NcPolynomial.zero()], [NcPolynomial.zero(), NcPolynomial.unit()]]
     with pytest.raises(ValueError):
         closure_check(fam, diag, budget=5)
+
+
+@pytest.mark.parametrize("budget, rows, cols", [
+    (0, 2, 2),
+    (-1, 2, 2),
+    (3, 1, 1),
+    (3, 3, 2),
+    (3, 2, 3),
+    (3, 2, 1),
+])
+def test_closure_rejects_bad_input(budget, rows, cols):
+    fam = mixed_2x2(4)
+    grid = [[NcPolynomial.unit()] * cols for _ in range(rows)]
+    with pytest.raises(ValueError, match="budget must be positive|grid must be 2 x 2"):
+        closure_check(fam, grid, budget)
+
+
+def test_closure_reads_generator_chains_off_the_table(monkeypatch):
+    # every new cell is zero or a scaled generator, so every tuple is a
+    # chain of scaled generators and no state is computed
+    calls = []
+    monkeypatch.setattr(
+        rcyclic, "_phi_numerator", lambda model, word: calls.append(word) or 1
+    )
+    table = {(1, 1): 1, (4, 4): Fraction(1, 3), (2, 3): 1, (3, 2): 1, (1, 2, 3): Fraction(-2, 7)}
+    fam = MatrixFamily.from_generator_entries(2, 1, CumulantModel.of(4, 4, table))
+    a = [[fam.entry(1, i, j) for j in (1, 2)] for i in (1, 2)]
+    schur = [[a[0][0].scale(2), a[0][1]], [a[1][0].scale(Fraction(-1, 3)), NcPolynomial.zero()]]
+    swapped = [[a[0][0], a[1][0]], [a[0][1], a[1][1]]]
+    for grid in (schur, swapped):
+        assert closure_check(fam, grid, 4) == fraction_closure_check(fam, grid, 4)
+    assert closure_check(fam, schur, 4)[0] and not closure_check(fam, swapped, 4)[0]
+    assert calls == []
+
+
+def test_orders_past_the_model_order_raise():
+    fam = mixed_2x2(4)
+    for call in (is_rcyclic, cyclic_family, determining_series):
+        with pytest.raises(ValueError, match="order 6 exceeds model order 4"):
+            call(fam, 6)
+    assert is_rcyclic(fam, 4) == is_rcyclic(fam, 0) == (True, None)
+    assert cyclic_family(fam, 0).table == {}
 
 
 def test_chain_factorization_spot_check():
