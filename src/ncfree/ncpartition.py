@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 DEFAULT_MAX_GROUND_SET = 12
 Blocks = tuple[tuple[int, ...], ...]
@@ -214,59 +214,3 @@ def kreweras(p: Partition) -> Partition:
     if not is_noncrossing(q):
         raise RuntimeError(f"Kreweras complement of {p} is crossing: {q}")
     return q
-
-
-def leq(p: Partition, q: Partition) -> bool:
-    """Refinement order: every block of p lies inside a block of q."""
-    if p.n != q.n:
-        raise ValueError("size mismatch")
-    holder = {}
-    for block in q.blocks:
-        for e in block:
-            holder[e] = block
-    return all(set(b) <= set(holder[b[0]]) for b in p.blocks)
-
-
-def insert(p: Partition, q: Partition, k: int) -> Partition:
-    """Insert p between positions k and k+1 of q.
-
-    The result partitions {1, ..., p.n + q.n}: the elements k+1 .. k+p.n carry
-    a shifted copy of p, and the remaining positions carry q with its elements
-    above k pushed up by p.n.
-    """
-    if not is_noncrossing(p) or not is_noncrossing(q):
-        raise ValueError("insert requires non-crossing operands")
-    if not 0 <= k <= q.n:
-        raise ValueError(f"insertion position must be in 0..{q.n}, got {k}")
-    blocks = [tuple(e + k for e in b) for b in p.blocks]
-    blocks += [tuple(e if e <= k else e + p.n for e in b) for b in q.blocks]
-    out = Partition.of(p.n + q.n, blocks)
-    if not is_noncrossing(out):
-        raise RuntimeError(f"inserting {p} into {q} at {k} gave a crossing partition: {out}")
-    return out
-
-
-def interval_block(p: Partition) -> tuple[int, ...]:
-    """The leftmost block that is a contiguous interval.
-
-    Every non-crossing partition has one; a crossing partition may not, in
-    which case this raises.
-    """
-    for block in p.blocks:
-        if block[-1] - block[0] + 1 == len(block):
-            return block
-    raise ValueError(f"no interval block; partition is crossing: {p}")
-
-
-def restrict(p: Partition, keep: Sequence[int]) -> Partition:
-    """Restriction of p to the elements of keep, relabeled to 1..len(keep)."""
-    keep_sorted = sorted(keep)
-    if len(set(keep_sorted)) != len(keep_sorted) or not keep_sorted:
-        raise ValueError("keep must be a nonempty set of distinct elements")
-    pos = {e: t + 1 for t, e in enumerate(keep_sorted)}
-    blocks = []
-    for block in p.blocks:
-        proj = tuple(pos[e] for e in block if e in pos)
-        if proj:
-            blocks.append(proj)
-    return Partition.of(len(keep_sorted), blocks)

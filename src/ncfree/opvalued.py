@@ -4,10 +4,14 @@ their diagonal subalgebra.
 For matrices with entries in a cumulant model, the entrywise state is a
 conditional expectation onto the scalar d x d matrices (algebra "B"); keeping
 only the diagonal gives the expectation onto diagonal scalar matrices
-(algebra "D").  Partitioned cumulants are evaluated by repeatedly extracting
-an interval block, taking its cumulant, and multiplying the resulting scalar
-matrix into the neighbouring argument (on the left of the following argument
-when the block starts the word).
+(algebra "D").  Cumulants of arbitrary arguments come from the first-block
+recursion: grouping the non-crossing partitions by the block V that holds
+the first argument, the expectation of a product is the sum over V of the
+cumulant of V's arguments, each times the expectation of the gap it opens,
+times the expectation of the arguments after V; the cumulant is what the
+block V = [n] leaves.  For zero or scaled single-generator entries the B- and
+D-valued cumulants are sums of scalar chain cumulants instead, read off one
+walk over the model's table.
 
 The module also hosts the amalgamated-freeness word check and the
 reconstruction of a cyclic table from diagonal-valued cumulant data.  The
@@ -24,17 +28,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .freeprob import CumulantModel, NcPolynomial, phi_poly, product_sum
-from .ncpartition import DEFAULT_MAX_GROUND_SET, Partition, enumerate_nc, restrict
-from .rcyclic import _chain_letters, _chain_value, _nonzero_chains, _parsed_grids, _scan
+from .ncpartition import DEFAULT_MAX_GROUND_SET
+from .rcyclic import _chain_letters, _is_cyclic, _nonzero_chains, _parsed_grids, _scan
 
 Word = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The first-block recursion makes 2 a(n - 1) calls for n arguments, a the
+# ordered Bell numbers: 9,366 at n = 7, 94,586 at n = 8, 3.2 * 10^9 at n = 12.
+MAX_CUMULANT_ARGS = 8
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,19 @@ def _nonempty(mats: Iterable[OperatorMatrix]) -> list[OperatorMatrix]:
     mats = list(mats)
     if not mats:
         raise ValueError("need at least one matrix")
+    model, d = mats[0].model, mats[0].d
+    if any(m.model != model or m.d != d for m in mats):
+        raise ValueError("generators must share one model and one size")
     return mats
+
+
+def _distinct(mats: Sequence[OperatorMatrix]) -> list[OperatorMatrix]:
+    # the matrices in order of first appearance; r numbers them from 1
+    out: list[OperatorMatrix] = []
+    for m in mats:
+        if m not in out:
+            out.append(m)
+    return out
 
 
 def _scaled_sum(pairs: Iterable[tuple[NcPolynomial, Fraction]]) -> NcPolynomial:
@@ -241,101 +260,107 @@ def expect_d(x: OperatorMatrix) -> ScalarMatrix:
     return ScalarMatrix.diagonal([phi_poly(x.model, x.rows[i][i]) for i in range(d)])
 
 
-def _expect(x: OperatorMatrix, algebra: str) -> ScalarMatrix:
-    if algebra == "B":
-        return expect_b(x)
-    if algebra == "D":
-        return expect_d(x)
-    raise ValueError(f"algebra must be 'B' or 'D', got {algebra!r}")
+_EXPECT = {"B": expect_b, "D": expect_d}
 
 
 def opvalued_cumulant_generic(xs: Sequence[OperatorMatrix], algebra: str) -> ScalarMatrix:
-    """Full cumulant by the defining recursion: expectation of the product
-    minus the partitioned cumulants of all coarser non-crossing partitions."""
-    xs = list(xs)
+    """Full cumulant by the first-block recursion.
+
+    Grouping the non-crossing partitions of the arguments by the block
+    V = {1 = v_1 < ... < v_k} that holds the first one,
+
+        E(x_1 ... x_n) = sum over V of
+            K_k(x_{v_1} E(gap_1), ..., x_{v_{k-1}} E(gap_{k-1}), x_{v_k}) E(x_{v_k+1} ... x_n),
+
+    where gap_t holds the arguments strictly between v_t and v_{t+1} and an
+    empty gap or tail has expectation the identity (Speicher, Mem. AMS 627,
+    1998).  K_n is E(x_1 ... x_n) minus the terms with V != [n].  E is the
+    entrywise state for algebra 'B' and its diagonal for 'D'.  Interval
+    products and expectations are computed once per recursive call.
+
+    The arguments must be nonempty, over one model and of one size, and at
+    most MAX_CUMULANT_ARGS of them; otherwise, or for another algebra, this
+    raises ValueError before any work.
+    """
+    xs = _nonempty(xs)
+    expect = _EXPECT.get(algebra)
+    if expect is None:
+        raise ValueError(f"algebra must be 'B' or 'D', got {algebra!r}")
+    if len(xs) > MAX_CUMULANT_ARGS:
+        raise ValueError(f"{len(xs)} arguments exceed the cap of {MAX_CUMULANT_ARGS}")
+    return _cumulant(xs, expect)
+
+
+def _cumulant(
+    xs: Sequence[OperatorMatrix], expect: Callable[[OperatorMatrix], ScalarMatrix]
+) -> ScalarMatrix:
+    # The first-block recursion of opvalued_cumulant_generic.  V grows left
+    # to right from position 0; each stacked state holds V's last position
+    # and its earlier arguments, already multiplied by their gaps'
+    # expectations, so a vanishing gap cuts every block through it.
     n = len(xs)
-    if n == 0:
-        raise ValueError("need at least one argument")
-    prod = reduce(lambda a, b: a.mul(b), xs)
-    acc = _expect(prod, algebra)
-    if n == 1:
-        return acc
-    for p in enumerate_nc(n):
-        if p.block_count() == 1:
-            continue
-        acc = acc - opvalued_cumulant_pi(p, xs, algebra)
+    prods: dict[tuple[int, int], OperatorMatrix] = {}
+    moments: dict[tuple[int, int], ScalarMatrix] = {}
+
+    def moment(a: int, b: int) -> ScalarMatrix:
+        # E(x_a ... x_{b-1}) for a < b, the products built by extending
+        # cached shorter ones
+        hit = moments.get((a, b))
+        if hit is None:
+            p = xs[a]
+            for c in range(a + 1, b):
+                q = prods.get((a, c + 1))
+                if q is None:
+                    q = prods[(a, c + 1)] = p.mul(xs[c])
+                p = q
+            hit = moments[(a, b)] = expect(p)
+        return hit
+
+    acc = moment(0, n)
+    stack: list[tuple[int, tuple[OperatorMatrix, ...]]] = [(0, ())]
+    while stack:
+        last, head = stack.pop()
+        if len(head) + 1 < n:
+            kappa = _cumulant(head + (xs[last],), expect)
+            if last + 1 < n:
+                kappa = kappa * moment(last + 1, n)
+            acc = acc - kappa
+        for nxt in range(last + 1, n):
+            x = xs[last]
+            if nxt > last + 1:
+                x = x.mul_scalar_right(moment(last + 1, nxt))
+            if not x.is_zero():
+                stack.append((nxt, head + (x,)))
     return acc
 
 
-def opvalued_cumulant_pi(
-    p: Partition, xs: Sequence[OperatorMatrix], algebra: str, extract: str = "leftmost"
-) -> ScalarMatrix:
-    """Partitioned cumulant via interval-block extraction.
-
-    The chosen interval block's full cumulant is a scalar matrix; it is
-    multiplied on the right of the preceding argument, or on the left of the
-    following one when the block starts the word, and the reduced partition
-    is evaluated recursively.  The extraction side (leftmost or rightmost
-    interval block) must not change the value.
-    """
-    xs = list(xs)
-    if p.n != len(xs):
-        raise ValueError(f"partition of {p.n} with {len(xs)} arguments")
-    if p.block_count() == 1:
-        return opvalued_cumulant_generic(xs, algebra)
-    intervals = [b for b in p.blocks if b[-1] - b[0] + 1 == len(b)]
-    if not intervals:
-        raise ValueError(f"no interval block; partition is crossing: {p}")
-    block = intervals[0] if extract == "leftmost" else intervals[-1]
-    a, b = block[0], block[-1]
-    inner = opvalued_cumulant_generic(xs[a - 1 : b], algebra)
-    keep = [t for t in range(1, p.n + 1) if t < a or t > b]
-    reduced = restrict(p, keep)
-    if a >= 2:
-        new_xs = xs[: a - 2] + [xs[a - 2].mul_scalar_right(inner)] + xs[b:]
-    else:
-        new_xs = [xs[b].mul_scalar_left(inner)] + xs[b + 1 :]
-    return opvalued_cumulant_pi(reduced, new_xs, algebra, extract)
-
-
 def bvalued_cumulant_entrywise(mats: Sequence[OperatorMatrix]) -> ScalarMatrix:
-    """Cumulant of generator-entry matrices straight from the scalar table:
-    the (i, j) entry sums the cumulants of all entry chains from i to j."""
-    return bvalued_cumulant_pi(Partition.whole(len(mats)), mats)
-
-
-def bvalued_cumulant_pi(p: Partition, mats: Sequence[OperatorMatrix]) -> ScalarMatrix:
-    """Partitioned analogue of the entrywise formula: each chain contributes
-    the product over the blocks of the scalar cumulants of its subchains."""
-    mats = list(mats)
-    n = len(mats)
-    if p.n != n:
-        raise ValueError(f"partition of {p.n} with {n} arguments")
+    """Cumulant of zero or scaled single-generator entry matrices straight
+    from the scalar table: the (i, j) entry sums the cumulants of all entry
+    chains from i to j along the arguments."""
+    mats = _nonempty(mats)
     d = mats[0].d
-    model = mats[0].model
-    parsed = _parsed_grids(m.rows for m in mats)
-    rows = []
-    for i in range(1, d + 1):
-        row = []
-        for j in range(1, d + 1):
-            acc = _ZERO
-            for inner in itertools.product(range(1, d + 1), repeat=n - 1):
-                chain = (i,) + inner + (j,)
-                term = _ONE
-                for block in p.blocks:
-                    val = _chain_value(
-                        [parsed[t - 1] for t in block],
-                        model,
-                        [(chain[t - 1], chain[t]) for t in block],
-                    )
-                    if not val:
-                        term = _ZERO
-                        break
-                    term *= val
-                acc += term
-            row.append(acc)
-        rows.append(tuple(row))
-    return ScalarMatrix(d, tuple(rows))
+    rows = [[_ZERO] * d for _ in range(d)]
+    for pairs, val in _argument_chains(mats):
+        rows[pairs[0][0] - 1][pairs[-1][1] - 1] += val
+    return ScalarMatrix(d, tuple(map(tuple, rows)))
+
+
+def _argument_chains(mats: Sequence[OperatorMatrix]):
+    # (index pairs, cumulant) of every entry chain along the arguments whose
+    # indices link and whose cumulant is nonzero, from one table walk over
+    # the distinct matrices
+    distinct = _distinct(mats)
+    rword = tuple(distinct.index(m) + 1 for m in mats)
+    parsed = _parsed_grids(m.rows for m in distinct)
+    for rw, pairs, val in _nonzero_chains(parsed, mats[0].model, len(mats)):
+        if rw == rword and _linked(pairs):
+            yield pairs, val
+
+
+def _linked(pairs: Sequence[tuple[int, int]]) -> bool:
+    # each index pair's column meets the next one's row
+    return all(pairs[t][1] == pairs[t + 1][0] for t in range(len(pairs) - 1))
 
 
 def check_chain_hypothesis(
@@ -350,19 +375,12 @@ def check_chain_hypothesis(
     (length, r-word, index word, j) order.
     """
     mats = _nonempty(mats)
-    distinct: list[OperatorMatrix] = []
-    for m in mats:
-        if m not in distinct:
-            distinct.append(m)
-    parsed = _parsed_grids(m.rows for m in distinct)
+    parsed = _parsed_grids(m.rows for m in _distinct(mats))
     best = None
     for rword, pairs, _ in _nonzero_chains(parsed, mats[0].model, order):
-        n = len(rword)
-        if pairs[0][0] == pairs[-1][1] or any(
-            pairs[t][1] != pairs[t + 1][0] for t in range(n - 1)
-        ):
+        if pairs[0][0] == pairs[-1][1] or not _linked(pairs):
             continue
-        key = (n, rword, tuple(j for _, j in pairs), pairs[0][0])
+        key = (len(rword), rword, tuple(j for _, j in pairs), pairs[0][0])
         if best is None or key < best:
             best = key
     if best is None:
@@ -384,7 +402,6 @@ def dvalued_cumulant(
     mats = _nonempty(mats)
     n = len(mats)
     d = mats[0].d
-    model = mats[0].model
     if lambdas is None:
         lambdas = [ScalarMatrix.identity(d)] * (n - 1)
     lambdas = list(lambdas)
@@ -395,22 +412,13 @@ def dvalued_cumulant(
     ok, witness = check_chain_hypothesis(mats, n)
     if not ok:
         raise ValueError(f"broken-chain cumulant does not vanish; witness {witness}")
-    if n == 1:
-        return expect_d(mats[0])
-    parsed = _parsed_grids(m.rows for m in mats)
     diag = [_ZERO] * d
-    for iword in itertools.product(range(1, d + 1), repeat=n):
-        chain = (iword[-1],) + iword
-        pairs = [(chain[t], chain[t + 1]) for t in range(n)]
-        val = _chain_value(parsed, model, pairs)
-        if not val:
+    for pairs, val in _argument_chains(mats):
+        if not _is_cyclic(pairs):
             continue
         for t in range(n - 1):
-            val *= lambdas[t].entry(iword[t], iword[t])
-            if not val:
-                break
-        if val:
-            diag[iword[-1] - 1] += val
+            val *= lambdas[t].entry(pairs[t][1], pairs[t][1])
+        diag[pairs[-1][1] - 1] += val
     return ScalarMatrix.diagonal(diag)
 
 
@@ -510,9 +518,15 @@ def check_amalgamated_freeness(
     Enumerates alternating products C_1 V C_2 V ... C_m where the V's are
     off-diagonal matrix units, interior C's are centered monomials in the
     given matrices and inner diagonal factors, and the outer C's may also be
-    the unit, up to the total entry-degree budget.  All of them must have
-    vanishing diagonal expectation; the first failure (slots ordered by
-    degree then label, units first) is returned as a readable witness.
+    the unit, up to the budget.  All of them must have vanishing diagonal
+    expectation; the first failure (slots ordered by degree then label,
+    units first) is returned as a readable witness.
+
+    The budget counts the given matrices a word multiplies, not the degree
+    of its entries.  The two agree for matrices whose entries are zero or
+    scaled single generators, the case the table shortcut below relies on;
+    with polynomial entries a word within the budget may still reach past
+    the model order, and the state then raises ValueError.
 
     Sound always; complete only up to the budget.
 
@@ -534,9 +548,6 @@ def check_amalgamated_freeness(
         raise ValueError("budget must be positive")
     gens = _nonempty(gens)
     model = gens[0].model
-    d = gens[0].d
-    if any(g.model != model or g.d != d for g in gens):
-        raise ValueError("generators must share one model and one size")
     if budget <= min(model.order, DEFAULT_MAX_GROUND_SET) and _cyclic_up_to(gens, budget):
         return True, None
     return _word_search(gens, budget)
@@ -600,24 +611,26 @@ def dcumulant_data(
 
     For each matrix word and index word, the first n-1 arguments are cut down
     by the matching diagonal units and the (i_n, i_n) entry of the diagonal
-    cumulant is recorded.  For an R-cyclic family this reproduces the cyclic
-    table exactly.
+    cumulant is recorded; the arguments do not depend on i_n, so one
+    cumulant per index prefix gives all d entries.  For an R-cyclic family
+    this reproduces the cyclic table exactly.  An order above
+    MAX_CUMULANT_ARGS raises ValueError before any work.
     """
     mats = _nonempty(mats)
+    if order > MAX_CUMULANT_ARGS:
+        raise ValueError(f"order {order} exceeds the cap of {MAX_CUMULANT_ARGS} arguments")
     d = mats[0].d
     s = len(mats)
     data: dict[tuple[Word, Word], Fraction] = {}
     punits = [ScalarMatrix.unit(d, i, i) for i in range(1, d + 1)]
     for n in range(1, order + 1):
         for rword in itertools.product(range(1, s + 1), repeat=n):
-            for iword in itertools.product(range(1, d + 1), repeat=n):
-                args = [
-                    mats[rword[t] - 1].mul_scalar_right(punits[iword[t] - 1])
-                    for t in range(n - 1)
-                ]
-                args.append(mats[rword[n - 1] - 1])
-                km = opvalued_cumulant_generic(args, "D")
-                val = km.entry(iword[-1], iword[-1])
-                if val:
-                    data[(rword, iword)] = val
+            for prefix in itertools.product(range(1, d + 1), repeat=n - 1):
+                args = [mats[r - 1].mul_scalar_right(punits[i - 1]) for r, i in zip(rword, prefix)]
+                args.append(mats[rword[-1] - 1])
+                km = _cumulant(args, expect_d)
+                for i in range(1, d + 1):
+                    val = km.entry(i, i)
+                    if val:
+                        data[(rword, prefix + (i,))] = val
     return data

@@ -167,14 +167,6 @@ def _chain_letters(
     return coeff, tuple(letters)
 
 
-def _chain_value(parsed_chain, model: CumulantModel, pairs: Sequence[tuple[int, int]]) -> Fraction:
-    """Scalar cumulant of the entry chain."""
-    hit = _chain_letters(parsed_chain, pairs)
-    if hit is None:
-        return _ZERO
-    return hit[0] * model.table.get(hit[1], _ZERO)
-
-
 def _nonzero_chains(parsed, model: CumulantModel, n_max: int):
     """Yield (matrix word, ((i_1, j_1), ...), value) for every entry chain of
     length at most n_max with a nonzero cumulant, walking the model's table

@@ -3,14 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from hypothesis import strategies as st
 
 from ncfree.freeprob import CumulantModel, NcPolynomial, phi_poly, single_generator_form
 from ncfree.ncpartition import Partition, PartitionPermutation, enumerate_nc, kreweras, perm_of
-from ncfree.opvalued import OperatorMatrix, ScalarMatrix
+from ncfree.opvalued import OperatorMatrix, ScalarMatrix, expect_b, expect_d
 from ncfree.oracle import nc_by_filter
 from ncfree.rcyclic import MatrixFamily, RCyclicFamily, entry_letter
 from ncfree.series import Series, gen_coef
@@ -178,6 +178,135 @@ def cumulant_of_elements(model: CumulantModel, polys) -> Fraction:
     return k(tuple(polys))
 
 
+# -- partition-based operator-valued cumulants ---------------------------------
+# The library expands the operator-valued moment-cumulant relation by its
+# first block; these sum partitioned cumulants over every pi in NC(n), each
+# evaluated by interval-block extraction, exactly as the library once did.
+
+
+def _expect(x: OperatorMatrix, algebra: str) -> ScalarMatrix:
+    if algebra == "B":
+        return expect_b(x)
+    if algebra == "D":
+        return expect_d(x)
+    raise ValueError(f"algebra must be 'B' or 'D', got {algebra!r}")
+
+
+def _restrict(p: Partition, keep: Sequence[int]) -> Partition:
+    # restriction of p to the elements of keep, relabeled to 1..len(keep)
+    keep_sorted = sorted(keep)
+    pos = {e: t + 1 for t, e in enumerate(keep_sorted)}
+    blocks = []
+    for block in p.blocks:
+        proj = tuple(pos[e] for e in block if e in pos)
+        if proj:
+            blocks.append(proj)
+    return Partition.of(len(keep_sorted), blocks)
+
+
+def recursive_opvalued_cumulant(xs: Sequence[OperatorMatrix], algebra: str) -> ScalarMatrix:
+    """Full cumulant by the defining recursion: expectation of the product
+    minus the partitioned cumulants of all coarser non-crossing partitions."""
+    xs = list(xs)
+    n = len(xs)
+    if n == 0:
+        raise ValueError("need at least one argument")
+    prod = reduce(lambda a, b: a.mul(b), xs)
+    acc = _expect(prod, algebra)
+    if n == 1:
+        return acc
+    for p in enumerate_nc(n):
+        if p.block_count() == 1:
+            continue
+        acc = acc - opvalued_cumulant_pi(p, xs, algebra)
+    return acc
+
+
+def opvalued_cumulant_pi(
+    p: Partition, xs: Sequence[OperatorMatrix], algebra: str, extract: str = "leftmost"
+) -> ScalarMatrix:
+    """Partitioned cumulant via interval-block extraction.
+
+    The chosen interval block's full cumulant is a scalar matrix; it is
+    multiplied on the right of the preceding argument, or on the left of the
+    following one when the block starts the word, and the reduced partition
+    is evaluated recursively.  The extraction side (leftmost or rightmost
+    interval block) must not change the value.
+    """
+    xs = list(xs)
+    if p.n != len(xs):
+        raise ValueError(f"partition of {p.n} with {len(xs)} arguments")
+    if p.block_count() == 1:
+        return recursive_opvalued_cumulant(xs, algebra)
+    intervals = [b for b in p.blocks if b[-1] - b[0] + 1 == len(b)]
+    if not intervals:
+        raise ValueError(f"no interval block; partition is crossing: {p}")
+    block = intervals[0] if extract == "leftmost" else intervals[-1]
+    a, b = block[0], block[-1]
+    inner = recursive_opvalued_cumulant(xs[a - 1 : b], algebra)
+    keep = [t for t in range(1, p.n + 1) if t < a or t > b]
+    reduced = _restrict(p, keep)
+    if a >= 2:
+        new_xs = xs[: a - 2] + [xs[a - 2].mul_scalar_right(inner)] + xs[b:]
+    else:
+        new_xs = [xs[b].mul_scalar_left(inner)] + xs[b + 1 :]
+    return opvalued_cumulant_pi(reduced, new_xs, algebra, extract)
+
+
+def bvalued_cumulant_pi(p: Partition, mats: Sequence[OperatorMatrix]) -> ScalarMatrix:
+    """Partitioned analogue of the entrywise formula: each chain contributes
+    the product over the blocks of the scalar cumulants of its subchains."""
+    mats = list(mats)
+    n = len(mats)
+    if p.n != n:
+        raise ValueError(f"partition of {p.n} with {n} arguments")
+    d = mats[0].d
+    model = mats[0].model
+    parsed = _parsed_matrices(mats)
+    rows = []
+    for i in range(1, d + 1):
+        row = []
+        for j in range(1, d + 1):
+            acc = _ZERO
+            for inner in itertools.product(range(1, d + 1), repeat=n - 1):
+                chain = (i,) + inner + (j,)
+                term = _ONE
+                for block in p.blocks:
+                    val = _chain_value(
+                        [parsed[t - 1] for t in block],
+                        model,
+                        [(chain[t - 1], chain[t]) for t in block],
+                    )
+                    if not val:
+                        term = _ZERO
+                        break
+                    term *= val
+                acc += term
+            row.append(acc)
+        rows.append(tuple(row))
+    return ScalarMatrix(d, tuple(rows))
+
+
+def dense_dvalued_cumulant(
+    mats: Sequence[OperatorMatrix], lambdas: Sequence[ScalarMatrix]
+) -> ScalarMatrix:
+    """The weighted chain formula over every closing index word: the (i, i)
+    entry sums, over the chains from i back to i, the chain cumulant times
+    the weights at the inner indices."""
+    n = len(mats)
+    d = mats[0].d
+    model = mats[0].model
+    parsed = _parsed_matrices(mats)
+    diag = [_ZERO] * d
+    for iword in itertools.product(range(1, d + 1), repeat=n):
+        chain = (iword[-1],) + iword
+        val = _chain_value(parsed, model, [(chain[t], chain[t + 1]) for t in range(n)])
+        for t in range(n - 1):
+            val *= lambdas[t].entry(iword[t], iword[t])
+        diag[iword[-1] - 1] += val
+    return ScalarMatrix.diagonal(diag)
+
+
 # -- recursive NC(n) pipeline -------------------------------------------------
 # The library generates NC(n) by stack insertion and reads complements off
 # integer arrays; this is the recursive first-block enumeration with a sort
@@ -296,6 +425,21 @@ def dense_cyclic_family(fam: MatrixFamily, order: int | None = None) -> RCyclicF
     return RCyclicFamily.of(d, fam.s, n_max, table)
 
 
+def cyclic_chain_words(fam: MatrixFamily) -> list[Word]:
+    """The matrix words, up to the model order, that carry a cyclic chain
+    with a nonzero cumulant, by a scan of every index word."""
+    parsed = _parsed_entries(fam)
+    out = []
+    for n in range(1, fam.model.order + 1):
+        for rword in itertools.product(range(1, fam.s + 1), repeat=n):
+            for iword in itertools.product(range(1, fam.d + 1), repeat=n):
+                pairs = tuple((iword[t - 1], iword[t]) for t in range(n))
+                if _chain_cumulant(parsed, fam.model, rword, pairs):
+                    out.append(rword)
+                    break
+    return out
+
+
 def _parsed_matrices(mats: Sequence[OperatorMatrix]):
     return [
         tuple(tuple(single_generator_form(m.rows[i][j]) for j in range(m.d)) for i in range(m.d))
@@ -404,6 +548,40 @@ def scalar_generator_families(draw) -> MatrixFamily:
         table[word] = draw(value)
     model = CumulantModel.of(generators, order, table)
     return MatrixFamily.of(d, s, model, grids)
+
+
+@st.composite
+def operator_words(draw) -> list[OperatorMatrix]:
+    """One to four arguments over a scalar_generator_families family, its
+    model lifted to order 8 with a few more means and covariances: a matrix
+    of the family, its zero, a scaled copy, a product of two of them, or one
+    of them plus a scalar."""
+    fam = draw(scalar_generator_families())
+    short = st.lists(st.integers(1, fam.model.generators), min_size=1, max_size=2).map(tuple)
+    table = {**fam.model.table, **draw(st.dictionaries(short, mixed_values(), max_size=3))}
+    model = CumulantModel.of(fam.model.generators, 8, table)
+    d = fam.d
+    mats = [
+        OperatorMatrix.of(model, [[fam.entry(r, i, j) for j in range(1, d + 1)]
+                                  for i in range(1, d + 1)])
+        for r in range(1, fam.s + 1)
+    ]
+    matrix = st.sampled_from(mats)
+    args = []
+    for _ in range(draw(st.sampled_from([1, 2, 3, 4]))):
+        x = draw(matrix)
+        kind = draw(st.sampled_from(["matrix"] * 3 + ["zero", "scaled", "product", "shift"]))
+        if kind == "zero":
+            x = x.sub(x)
+        elif kind == "scaled":
+            x = x.mul_scalar_right(ScalarMatrix.identity(d).scale(draw(mixed_values())))
+        elif kind == "product":
+            x = x.mul(draw(matrix))
+        elif kind == "shift":
+            c = ScalarMatrix.identity(d).scale(draw(mixed_values()))
+            x = x.add(OperatorMatrix.from_scalar(model, c))
+        args.append(x)
+    return args
 
 
 # -- term-by-term Fraction references for the integer kernels -----------------

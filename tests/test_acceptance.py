@@ -24,7 +24,6 @@ from ncfree.opvalued import (
     OperatorMatrix,
     ScalarMatrix,
     bvalued_cumulant_entrywise,
-    bvalued_cumulant_pi,
     check_amalgamated_freeness,
     dcumulant_data,
     dvalued_cumulant,
@@ -33,7 +32,6 @@ from ncfree.opvalued import (
     ktilde,
     odot,
     opvalued_cumulant_generic,
-    opvalued_cumulant_pi,
 )
 from ncfree.oracle import brute_force_family_moments, kreweras_by_search, nc_by_filter
 from ncfree.rcyclic import (
@@ -61,6 +59,7 @@ from ncfree.series import (
     zeta,
 )
 from helpers import (
+    bvalued_cumulant_pi,
     circular_2x2,
     constant_table_family,
     cumulant_of_elements,
@@ -69,6 +68,7 @@ from helpers import (
     detached_diagonal_family,
     mixed_2x2,
     model_from_cyclic_table,
+    opvalued_cumulant_pi,
     random_cyclic_table,
     random_model,
     random_series,

@@ -262,6 +262,13 @@ def test_cli_opcumulant_word_past_partition_cap(tmp_path, capsys):
     assert_usage_error(code, capsys)
 
 
+def test_cli_opcumulant_word_past_argument_cap(tmp_path, capsys):
+    # within the spec order, yet past opvalued.MAX_CUMULANT_ARGS
+    path = spec_file(tmp_path, MIXED_SPEC.replace("order 6", "order 9"))
+    code = run(["opcumulant", "--spec", path, "--algebra", "B", "--word", ",".join(["1"] * 9)])
+    assert_usage_error(code, capsys)
+
+
 def test_cli_rcyclic_order_past_partition_cap(tmp_path, capsys):
     path = spec_file(tmp_path, ORDER13_SPEC)
     assert run(["rcyclic", "check", "--spec", path]) == 0

@@ -6,14 +6,10 @@ from ncfree.ncpartition import (
     Partition,
     PartitionPermutation,
     enumerate_nc,
-    insert,
-    interval_block,
     is_noncrossing,
     kreweras,
-    leq,
     nc_pairs,
     perm_of,
-    restrict,
 )
 from helpers import recursive_nc_pairs
 
@@ -120,37 +116,6 @@ def test_kreweras_defining_identity():
             assert perm_of(p).compose(perm_of(kreweras(p))) == gamma
 
 
-def test_leq_refinement():
-    assert leq(Partition.of(4, [[1], [2], [3, 4]]), Partition.of(4, [[1, 2], [3, 4]]))
-    assert not leq(Partition.of(4, [[1, 2], [3, 4]]), Partition.of(4, [[1], [2], [3, 4]]))
-    for n in range(1, 6):
-        for p in enumerate_nc(n):
-            assert leq(Partition.singletons(n), p)
-            assert leq(p, Partition.whole(n))
-
-
-def test_interval_block():
-    p = Partition.of(5, [[1, 5], [2, 4], [3]])
-    assert interval_block(p) == (3,)
-    assert interval_block(Partition.whole(4)) == (1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        interval_block(Partition.of(4, [[1, 3], [2, 4]]))
-
-
-def test_restrict_relabels():
-    p = Partition.of(5, [[1, 2, 5], [3, 4]])
-    assert restrict(p, (2, 3, 5)) == Partition.of(3, [[1, 3], [2]])
-
-
-def test_insert_glues_back():
-    outer = Partition.of(3, [[1, 3], [2]])
-    inner = Partition.of(2, [[1, 2]])
-    q = insert(inner, outer, 1)
-    assert q.n == 5
-    assert q.block_of(2) == (2, 3)
-    assert q.block_of(1) == (1, 5)
-
-
 @given(st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.sampled_from(enumerate_nc(n))
 ))
@@ -186,7 +151,3 @@ def test_invariants_raise_without_assert(monkeypatch):
     nc_pairs.cache_clear()
     with pytest.raises(RuntimeError, match="crossing"):
         nc_pairs(6)
-    inner, outer = Partition.whole(2), Partition.whole(1)
-    monkeypatch.setattr(ncp, "is_noncrossing", lambda part: part.n < 3)
-    with pytest.raises(RuntimeError, match="crossing"):
-        insert(inner, outer, 1)

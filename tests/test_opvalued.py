@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,10 +10,10 @@ from ncfree import opvalued
 from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.ncpartition import Partition, enumerate_nc
 from ncfree.opvalued import (
+    MAX_CUMULANT_ARGS,
     OperatorMatrix,
     ScalarMatrix,
     bvalued_cumulant_entrywise,
-    bvalued_cumulant_pi,
     check_amalgamated_freeness,
     check_chain_hypothesis,
     _word_search,
@@ -23,21 +24,32 @@ from ncfree.opvalued import (
     ktilde,
     odot,
     opvalued_cumulant_generic,
-    opvalued_cumulant_pi,
 )
-from ncfree.rcyclic import RCyclicFamily, cyclic_family, family_moments, determining_series
+from ncfree.rcyclic import (
+    MatrixFamily,
+    RCyclicFamily,
+    cyclic_family,
+    determining_series,
+    family_moments,
+)
 from ncfree.series import coef
 from helpers import (
+    bvalued_cumulant_pi,
     cellwise_mul,
     cellwise_mul_scalar_left,
     cellwise_mul_scalar_right,
     circular_2x2,
+    cyclic_chain_words,
     dense_check_chain_hypothesis,
     detached_diagonal_family,
     diagonal_free_2x2,
     first_moment_family,
     mixed_2x2,
+    dense_dvalued_cumulant,
     mixed_values,
+    operator_words,
+    opvalued_cumulant_pi,
+    recursive_opvalued_cumulant,
     random_model,
     scalar_generator_families,
     sparse_polynomials,
@@ -134,6 +146,58 @@ def test_generic_matches_scalar_case():
             for word in itertools.product((1, 2), repeat=n):
                 got = opvalued_cumulant_generic([mats[r] for r in word], "B")
                 assert got.entry(1, 1) == model.table.get(word, Fraction(0))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(args=operator_words())
+def test_generic_cumulant_matches_partition_recursion(args):
+    for algebra in ("B", "D"):
+        assert opvalued_cumulant_generic(args, algebra) == recursive_opvalued_cumulant(
+            args, algebra
+        )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fam=scalar_generator_families(), data=st.data())
+def test_chain_sums_match_dense_loops(fam, data):
+    # repeated matrices share one r-label, so draw words over the family;
+    # most of them carry a surviving cyclic chain
+    mats = [family_matrix(fam, r) for r in range(1, fam.s + 1)]
+    words = cyclic_chain_words(fam)
+    if words and data.draw(st.integers(0, 3)):
+        args = [mats[r - 1] for r in data.draw(st.sampled_from(words))]
+    else:
+        n = data.draw(st.integers(1, fam.model.order))
+        args = data.draw(st.lists(st.sampled_from(mats), min_size=n, max_size=n))
+    n = len(args)
+    assert bvalued_cumulant_entrywise(args) == bvalued_cumulant_pi(Partition.whole(n), args)
+    weight = st.sampled_from([0, 1]) | mixed_values()
+    lambdas = [
+        ScalarMatrix.diagonal(data.draw(st.lists(weight, min_size=fam.d, max_size=fam.d)))
+        for _ in range(n - 1)
+    ]
+    expect = dense_dvalued_cumulant(args, lambdas)
+    if check_chain_hypothesis(args, n)[0]:
+        assert dvalued_cumulant(args, lambdas) == expect
+        return
+    with pytest.raises(ValueError, match="broken-chain"):
+        dvalued_cumulant(args, lambdas)
+    # the weighted chain sum itself, past its hypothesis
+    with mock.patch.object(opvalued, "check_chain_hypothesis", lambda mats, order: (True, None)):
+        assert dvalued_cumulant(args, lambdas) == expect
+
+
+def test_generic_cumulant_caps_its_arguments():
+    # past the cap it raises before any work: a product of nine arguments
+    # would otherwise meet the model order first
+    x = family_matrix(mixed_2x2(6))
+    assert MAX_CUMULANT_ARGS == 8
+    with pytest.raises(ValueError, match="9 arguments exceed the cap of 8"):
+        opvalued_cumulant_generic([x] * 9, "B")
+    with pytest.raises(ValueError, match="exceeds the cap of 8"):
+        dcumulant_data([x], 9)
+    with pytest.raises(ValueError, match="algebra must be 'B' or 'D'"):
+        opvalued_cumulant_generic([x], "C")
 
 
 def test_pi_cumulant_extraction_side_invariance():
@@ -335,24 +399,44 @@ def test_word_test_decision_matches_search(fam, data):
     assert outcome(check_amalgamated_freeness) == outcome(_word_search)
 
 
+# every public entry point of opvalued that takes a list of matrices
+ENTRY_POINTS = (
+    lambda mats: check_amalgamated_freeness(mats, 2),
+    lambda mats: check_chain_hypothesis(mats, 2),
+    lambda mats: dvalued_cumulant(mats),
+    lambda mats: odot(mats),
+    lambda mats: dcumulant_data(mats, 2),
+    lambda mats: opvalued_cumulant_generic(mats, "B"),
+    lambda mats: opvalued_cumulant_generic(mats, "D"),
+    lambda mats: bvalued_cumulant_entrywise(mats),
+)
+
+
 def test_opvalued_entry_points_reject_empty_lists():
-    for call in (
-        lambda: check_amalgamated_freeness([], 2),
-        lambda: check_chain_hypothesis([], 2),
-        lambda: dvalued_cumulant([]),
-        lambda: odot([]),
-        lambda: dcumulant_data([], 2),
-    ):
+    for call in ENTRY_POINTS:
         with pytest.raises(ValueError, match="need at least one matrix"):
-            call()
+            call([])
 
 
 def test_amalgamated_freeness_rejects_mixed_generators():
+    # other models and other sizes, smaller or larger, in either position
     x = family_matrix(mixed_2x2(4))
-    smaller = OperatorMatrix.of(x.model, [[NcPolynomial.generator(1)]])
-    for other in (family_matrix(circular_2x2(4)), smaller):
-        with pytest.raises(ValueError, match="one model and one size"):
-            check_amalgamated_freeness([x, other], 2)
+    gen = NcPolynomial.generator(1)
+    smaller = OperatorMatrix.of(x.model, [[gen]])
+    larger = OperatorMatrix.of(x.model, [[gen] * 3] * 3)
+    for other in (family_matrix(circular_2x2(4)), smaller, larger):
+        for call in ENTRY_POINTS:
+            for mats in ([x, other], [other, x]):
+                with pytest.raises(ValueError, match="one model and one size"):
+                    call(mats)
+
+
+def test_amalgamated_freeness_budget_counts_matrix_factors():
+    # budget 1 is within the model order, yet X + X X has entries of degree
+    # 2, so the search evaluates words past it
+    x = family_matrix(MatrixFamily.from_generator_entries(2, 1, CumulantModel.of(4, 1, {})))
+    with pytest.raises(ValueError, match="word of length 2 exceeds model order 1"):
+        check_amalgamated_freeness([x.add(x.mul(x))], budget=1)
 
 
 def test_dcumulant_data_reproduces_cyclic_table():
