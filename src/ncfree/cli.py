@@ -318,14 +318,11 @@ def _cmd_rcyclic(args) -> int:
     spec = _load_spec(args.spec)
     model, fam = build_model(spec)
     order = spec.order if args.order is None else args.order
-    if order > spec.order:
-        print(f"error: --order {order} exceeds spec order {spec.order}", file=sys.stderr)
-        return 2
-    if args.action in ("moments", "rtransform") and order > DEFAULT_MAX_GROUND_SET:
-        print(
-            f"error: {args.action} needs order at most {DEFAULT_MAX_GROUND_SET}, got {order}",
-            file=sys.stderr,
-        )
+    top = spec.order
+    if args.action in ("moments", "rtransform"):
+        top = min(top, DEFAULT_MAX_GROUND_SET)  # the convolutions' NC(n) cap
+    if not 1 <= order <= top:
+        print(f"error: {args.action} needs order in 1..{top}, got {order}", file=sys.stderr)
         return 2
     if args.action == "check":
         ok, witness = is_rcyclic(fam, order)

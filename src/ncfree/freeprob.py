@@ -19,6 +19,7 @@ through boxed convolution with the zeta and Moebius series.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,6 +225,23 @@ def _phi_numerator(model: CumulantModel, word: Word) -> int:
     return acc
 
 
+def _product_state(
+    model: CumulantModel, factors: Sequence[Iterable[tuple[Word, int]]], deg: int
+) -> int:
+    # The state of the product of the factors (integer term lists) times
+    # L^deg, summed over one term per factor; deg bounds every word's length.
+    den = model.numerators[0]
+    acc = 0
+    for choice in itertools.product(*factors):
+        coeff = 1
+        word: Word = ()
+        for w, c in choice:
+            coeff *= c
+            word += w
+        acc += coeff * _phi_numerator(model, word) * den ** (deg - len(word))
+    return acc
+
+
 def phi_word(model: CumulantModel, w: Iterable[int]) -> Fraction:
     """State of a product of generators: sum of cumulant products over NC(n).
 
@@ -240,13 +258,9 @@ def phi_poly(model: CumulantModel, p: NcPolynomial) -> Fraction:
     """State of a polynomial by linearity: the first-block word states summed
     as one integer over P L^deg (P the lcm of the coefficient denominators)
     and divided once."""
-    den = model.numerators[0]
     deg = p.degree()
-    p_den, (terms,) = integer_terms([p])
-    acc = 0
-    for w, c in terms:
-        acc += c * _phi_numerator(model, w) * den ** (deg - len(w))
-    return Fraction(acc, p_den * den**deg)
+    p_den, terms = integer_terms([p])
+    return Fraction(_product_state(model, terms, deg), p_den * model.numerators[0] ** deg)
 
 
 def moment_series(
@@ -274,9 +288,7 @@ def moment_series(
     while stack:
         word, prod = stack.pop()
         deg = max(map(len, prod), default=0)
-        acc = 0
-        for w, c in prod.items():
-            acc += c * _phi_numerator(model, w) * den ** (deg - len(w))
+        acc = _product_state(model, [prod.items()], deg)
         if acc:
             out[word] = Fraction(acc, p_den ** len(word) * den**deg)
         if len(word) < n_max:

@@ -28,8 +28,6 @@ from .series import coef
 MIN_MATRIX_SIZE = 16
 MAX_MC_MOMENT = 8
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class McConfig:

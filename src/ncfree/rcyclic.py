@@ -23,20 +23,19 @@ that survives, cyclic or not.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .freeprob import (
     CumulantModel,
     NcPolynomial,
-    _phi_numerator,
+    _product_state,
     integer_terms,
     single_generator_form,
 )
-from .ncpartition import nc_pairs
+from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .series import (
     Series,
     ext_boxed_convolve,
@@ -304,30 +303,32 @@ def partial_sum_rtransform(f: Series, d: int) -> Series:
 def _scaled_cumulant(
     idx: tuple[int, ...],
     memo: dict[tuple[int, ...], int],
-    scaled_moment: Callable[[tuple[int, ...]], int],
+    moment: Callable[[tuple[int, ...]], int],
     table_value: Callable[[tuple[int, ...]], int | None],
 ) -> int:
-    # The table's value when it has one, else the moment-cumulant inversion
-    # on scaled integers; a partition is skipped at its first vanishing
-    # block.  Module level, not a closure over memo, so the memo is freed on
-    # return rather than by the cycle collector.
+    # The table's value when it has one, else the first-block inversion on
+    # scaled integers, V growing left to right.  Module level, not a closure
+    # over memo, so the memo is freed on return rather than by the cycle
+    # collector.
     acc = table_value(idx)
     if acc is None:
-        acc = scaled_moment(idx)
-        for blocks, _ in nc_pairs(len(idx)):
-            if len(blocks) == 1:
-                continue
-            factors = []
-            for b in blocks:
-                sub = tuple(idx[t] for t in b)
-                c = memo.get(sub)
-                if c is None:
-                    c = _scaled_cumulant(sub, memo, scaled_moment, table_value)
-                if not c:
-                    break
-                factors.append(c)
-            else:
-                acc -= math.prod(factors)
+        n = len(idx)
+        acc = moment(idx)
+        # (last position in V, entries of idx|V, product of the closed gaps' moments)
+        stack = [(0, idx[:1], 1)]
+        while stack:
+            last, sub, gaps = stack.pop()
+            if len(sub) < n:
+                tail = moment(idx[last + 1 :])
+                if tail:
+                    kappa = memo.get(sub)
+                    if kappa is None:
+                        kappa = _scaled_cumulant(sub, memo, moment, table_value)
+                    acc -= kappa * gaps * tail
+            for nxt in range(last + 1, n):
+                gap = moment(idx[last + 1 : nxt])
+                if gap:
+                    stack.append((nxt, sub + (idx[nxt],), gaps * gap))
     memo[idx] = acc
     return acc
 
@@ -353,12 +354,13 @@ def closure_check(
 ) -> tuple[bool, tuple[Word, tuple[tuple[int, int], ...]] | None]:
     """Is the family together with one more (polynomial-entry) matrix R-cyclic?
 
-    Joint cumulants of the enlarged entry list are computed by the triangular
-    moment inversion, so entries may be arbitrary polynomials (products,
-    linear combinations, scalars).  Checks every non-cyclic pattern with
-    total entry degree and tuple length up to the budget, walking the index
-    tuples depth first in lexicographic order and cutting a branch once its
-    degree passes the budget.
+    Checks every non-cyclic pattern with total entry degree and tuple length
+    up to the budget, walking the index tuples depth first in lexicographic
+    order and cutting a branch once its degree passes the budget.  Entries
+    may be arbitrary polynomials: the cumulant of a tuple is its moment
+    minus, over each block V that holds its first entry and is not the whole
+    tuple, the cumulant of the tuple restricted to V times the moments of the
+    gaps V leaves, all memoised by tuple within one call.
 
     Everything runs on integers and nothing is divided.  With P the lcm of
     the entries' coefficient denominators and L that of the model's
@@ -373,9 +375,9 @@ def closure_check(
     A tuple whose entries are all zero or scaled single generators needs no
     inversion: its cumulant is the product of the coefficients times the
     table entry of its generator word (zero if an entry is zero), so it is
-    read off the table, and the inversion of the other tuples reuses those
-    values for its blocks.  A budget below 1 or above the model order, or a
-    new grid that is not d x d, raises ValueError.
+    read off the table.  A budget below 1, above the model order or above
+    DEFAULT_MAX_GROUND_SET, or a new grid that is not d x d, raises
+    ValueError before any cumulant is computed.
     """
     model = fam.model
     n_budget = model.order if budget is None else budget
@@ -383,20 +385,18 @@ def closure_check(
         raise ValueError("budget must be positive")
     if n_budget > model.order:
         raise ValueError(f"budget {n_budget} exceeds model order {model.order}")
+    if n_budget > DEFAULT_MAX_GROUND_SET:
+        raise ValueError(f"budget {n_budget} exceeds the cap of {DEFAULT_MAX_GROUND_SET} letters")
     d = fam.d
     if len(new_grid) != d or any(len(row) != d for row in new_grid):
         raise ValueError(f"new grid must be {d} x {d}")
     elems: list[NcPolynomial] = []
     tags: list[tuple[int, int, int]] = []
-    for r in range(1, fam.s + 1):
+    for r, grid in enumerate((*fam.grids, new_grid), start=1):
         for i in range(1, d + 1):
             for j in range(1, d + 1):
-                elems.append(fam.entry(r, i, j))
+                elems.append(grid[i - 1][j - 1])
                 tags.append((r, i, j))
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            elems.append(new_grid[i - 1][j - 1])
-            tags.append((fam.s + 1, i, j))
     degs = [e.degree() for e in elems]
     terms = integer_terms(elems)[1]
     l_den, numerators = model.numerators
@@ -425,24 +425,17 @@ def closure_check(
             return 0
         return coeff * numerators.get(tuple(word), 0) * l_den ** (len(idx) - 1)
 
-    def scaled_moment(idx: tuple[int, ...]) -> int:
-        total = sum(degs[t] for t in idx)
-        acc = 0
-        for choice in itertools.product(*(terms[t] for t in idx)):
-            coeff = 1
-            word: Word = ()
-            for w, c in choice:
-                coeff *= c
-                word += w
-            acc += coeff * _phi_numerator(model, word) * l_den ** (total - len(word))
-        return acc
+    @cache
+    def moment(idx: tuple[int, ...]) -> int:
+        # scaled by P^n L^D, D the total degree of the entries
+        return _product_state(model, [terms[t] for t in idx], sum(degs[t] for t in idx))
 
     for n in range(1, n_budget + 1):
         for idx in _degree_bounded(degs, n, n_budget):
             pairs = tuple(tags[t][1:] for t in idx)
             if _is_cyclic(pairs):
                 continue
-            if _scaled_cumulant(idx, memo, scaled_moment, table_value):
+            if _scaled_cumulant(idx, memo, moment, table_value):
                 rword = tuple(tags[t][0] for t in idx)
                 return False, (rword, pairs)
     return True, None

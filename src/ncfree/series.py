@@ -9,6 +9,9 @@ in f [*] g is the sum over non-crossing partitions pi of the generalized
 coefficient of f at (w, pi) times the generalized coefficient of g at
 (w, Kreweras complement of pi), where a generalized coefficient is the
 product of ordinary coefficients over the restrictions of w to the blocks.
+One kernel walks NC(n) at a single degree: the convolutions run it at every
+degree, and the boxed inverse runs it on f and its own lower degrees to solve
+degree n.  Orders above DEFAULT_MAX_GROUND_SET raise before any work.
 
 The extended variant pairs a series over s*d letters (encoded pairs (r, i)
 with r outer: letter = (r-1)*d + i) with a series over d letters; the second
@@ -30,9 +33,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from .ncpartition import Partition, nc_pairs
+from .ncpartition import DEFAULT_MAX_GROUND_SET, Partition, nc_pairs
 
 Word = tuple[int, ...]
 
@@ -125,49 +128,64 @@ def gen_coef(f: Series, w: Iterable[int], p: Partition) -> Fraction:
     return out
 
 
-def _convolve(f: Series, g: Series, project: Callable[[int], int] | None) -> dict[Word, Fraction]:
+def _within_cap(order: int) -> None:
+    if order > DEFAULT_MAX_GROUND_SET:
+        raise ValueError(f"order {order} exceeds the cap of {DEFAULT_MAX_GROUND_SET} letters")
+
+
+def _convolve_degree(
+    f: Numerators, lg: int, gc: Mapping[Word, int], n: int, proj: list[int] | None
+) -> dict[Word, int]:
+    # Degree n of f [*] g over (Lf Lg)^n, g as numerators gc over Lg.
     # Iterate over fillings of each partition's blocks by support words of f;
     # every word with a nonzero output coefficient arises this way, so sparse
     # operands never force a scan of the full alphabet.  With f = a/Lf and
     # g = b/Lg, a partition with k blocks (its complement has n+1-k) gives
     # (prod a)(prod b) / (Lf^k Lg^(n+1-k)); lifting it by Lf^(n-k) Lg^(k-1)
-    # puts every term of length n over Lf^n Lg^n.
-    lf, supp = f.numerators.denominator, f.numerators.by_length
+    # puts every term over Lf^n Lg^n.
+    lf, supp = f.denominator, f.by_length
+    acc: dict[Word, int] = {}
+    for blocks, co_blocks in nc_pairs(n):
+        pools = []
+        for b in blocks:
+            pool = supp.get(len(b))
+            if not pool:
+                pools = None
+                break
+            pools.append(pool)
+        if pools is None:
+            continue
+        k = len(blocks)
+        lift = lf ** (n - k) * lg ** (k - 1)
+        for combo in itertools.product(*pools):
+            w = [0] * n
+            c = lift
+            for b, (bw, bc) in zip(blocks, combo):
+                c *= bc
+                for pos, letter in zip(b, bw):
+                    w[pos] = letter
+            pw = w if proj is None else [proj[x] for x in w]
+            for b2 in co_blocks:
+                side = gc.get(tuple(pw[pos] for pos in b2))
+                if side is None:
+                    break
+                c *= side
+            else:
+                word = tuple(w)
+                acc[word] = acc.get(word, 0) + c
+    return acc
+
+
+def _convolve(f: Series, g: Series, proj: list[int] | None) -> dict[Word, Fraction]:
+    # proj[x] is the letter of g that f's letter x stands for, if they differ
+    if f.order != g.order:
+        raise ValueError(f"order mismatch: {f.order} vs {g.order}; re-truncate explicitly")
+    _within_cap(f.order)
     lg, gc = g.numerators.denominator, g.numerators.by_word
-    proj = None if project is None else [0] + [project(x) for x in range(1, f.alphabet + 1)]
     out: dict[Word, Fraction] = {}
     for n in range(1, f.order + 1):
-        acc: dict[Word, int] = {}
-        for blocks, co_blocks in nc_pairs(n):
-            pools = []
-            for b in blocks:
-                pool = supp.get(len(b))
-                if not pool:
-                    pools = None
-                    break
-                pools.append(pool)
-            if pools is None:
-                continue
-            k = len(blocks)
-            lift = lf ** (n - k) * lg ** (k - 1)
-            for combo in itertools.product(*pools):
-                w = [0] * n
-                c = lift
-                for b, (bw, bc) in zip(blocks, combo):
-                    c *= bc
-                    for pos, letter in zip(b, bw):
-                        w[pos] = letter
-                pw = w if proj is None else [proj[x] for x in w]
-                for b2 in co_blocks:
-                    side = gc.get(tuple(pw[pos] for pos in b2))
-                    if side is None:
-                        break
-                    c *= side
-                else:
-                    word = tuple(w)
-                    acc[word] = acc.get(word, 0) + c
-        den = (lf * lg) ** n
-        for word, num in acc.items():
+        den = (f.numerators.denominator * lg) ** n
+        for word, num in _convolve_degree(f.numerators, lg, gc, n, proj).items():
             if num:
                 out[word] = Fraction(num, den)
     return out
@@ -177,8 +195,6 @@ def boxed_convolve(f: Series, g: Series) -> Series:
     """Coefficientwise sum over non-crossing partitions against the complement."""
     if f.alphabet != g.alphabet:
         raise ValueError(f"alphabet mismatch: {f.alphabet} vs {g.alphabet}")
-    if f.order != g.order:
-        raise ValueError(f"order mismatch: {f.order} vs {g.order}; re-truncate explicitly")
     return Series.of(f.alphabet, f.order, _convolve(f, g, None))
 
 
@@ -191,63 +207,36 @@ def ext_boxed_convolve(f: Series, g: Series) -> Series:
     d = g.alphabet
     if f.alphabet % d != 0:
         raise ValueError(f"pair alphabet {f.alphabet} not a multiple of {d}")
-    if f.order != g.order:
-        raise ValueError(f"order mismatch: {f.order} vs {g.order}; re-truncate explicitly")
-    return Series.of(f.alphabet, f.order, _convolve(f, g, lambda x: (x - 1) % d + 1))
+    proj = [0] + [(x - 1) % d + 1 for x in range(1, f.alphabet + 1)]
+    return Series.of(f.alphabet, f.order, _convolve(f, g, proj))
 
 
 def boxed_inverse(f: Series) -> Series:
     """Two-sided inverse for the boxed convolution, solved degree by degree.
 
     The coefficient of the inverse at a word of length n appears only in the
-    all-singletons term of the convolution, so each degree is a single
-    division once the lower degrees are known.  Requires every degree-1
-    coefficient to be nonzero.
-
-    Degree n runs on integers: f as numerators a over Lf, the inverse's
-    lower degrees as numerators c over their common denominator M.  A
-    partition with k < n blocks gives (prod a)(prod c) / (Lf^k M^(n+1-k)),
-    lifted by Lf^(n-1-k) M^(k-1) to the shared Lf^(n-1) M^n.
+    all-singletons term of the convolution.  So degree n is the degree-n
+    convolution kernel run on f and the inverse found so far, which has no
+    word of length n, divided by the product of the degree-1 coefficients
+    and negated.  Requires every degree-1 coefficient to be nonzero; an order
+    above DEFAULT_MAX_GROUND_SET raises ValueError.
     """
     s, order = f.alphabet, f.order
+    _within_cap(order)
     lf, fc = f.numerators.denominator, f.numerators.by_word
-    deg1 = {}
     for r in range(1, s + 1):
-        a = fc.get((r,))
-        if a is None:
+        if (r,) not in fc:
             raise ValueError(f"degree-1 coefficient at letter {r} is zero; not invertible")
-        deg1[r] = a
-    inv: dict[Word, Fraction] = {(r,): Fraction(lf, deg1[r]) for r in range(1, s + 1)}
+    inv: dict[Word, Fraction] = {(r,): Fraction(lf, fc[(r,)]) for r in range(1, s + 1)}
     for n in range(2, order + 1):
         m, ic = over_lcm(inv.items())
-        pairs = [
-            (blocks, co_blocks, lf ** (n - 1 - len(blocks)) * m ** (len(blocks) - 1))
-            for blocks, co_blocks in nc_pairs(n)
-            if len(blocks) != n
-        ]
-        for w in itertools.product(range(1, s + 1), repeat=n):
-            acc = 0
-            for blocks, co_blocks, lift in pairs:
-                term = lift
-                for b in blocks:
-                    c = fc.get(tuple(w[pos] for pos in b))
-                    if c is None:
-                        break
-                    term *= c
-                else:
-                    for b2 in co_blocks:
-                        c = ic.get(tuple(w[pos] for pos in b2))
-                        if c is None:
-                            break
-                        term *= c
-                    else:
-                        acc += term
-            if acc:
-                # inv(w) = -(acc / (Lf^(n-1) M^n)) / prod(a_{w_t} / Lf)
+        for w, num in _convolve_degree(f.numerators, m, ic, n, None).items():
+            if num:
+                # inv(w) = -(num / (Lf M)^n) / prod(a_{w_t} / Lf)
                 denom = m**n
                 for letter in w:
-                    denom *= deg1[letter]
-                inv[w] = Fraction(-acc * lf, denom)
+                    denom *= fc[(letter,)]
+                inv[w] = Fraction(-num, denom)
     return Series.of(s, order, inv)
 
 
@@ -318,6 +307,7 @@ def h_series(d: int, order: int) -> Series:
     the diagonal substitution gives the R-transform of the matrix family,
     the same way the constant-word series gives the moments.
     """
+    _within_cap(order)
     stretched = scale(dilate(moebius(d, order), Fraction(1, d)), d)
     return boxed_convolve(geometric(d, order), stretched)
 

@@ -160,6 +160,13 @@ def test_cli_rcyclic_order_cap(tmp_path, capsys):
     assert "order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("action", ["moments", "rtransform", "determining-series", "check"])
+def test_cli_rcyclic_order_below_one_is_a_usage_error(action, order, tmp_path, capsys):
+    path = spec_file(tmp_path, CIRC_SPEC)
+    assert_usage_error(run(["rcyclic", action, "--spec", path, "--order", str(order)]), capsys)
+
+
 def test_cli_rcyclic_check_pass_and_fail(tmp_path, capsys):
     good = spec_file(tmp_path, CIRC_SPEC, "good.spec")
     assert run(["rcyclic", "check", "--spec", good]) == 0
@@ -250,6 +257,8 @@ def assert_usage_error(code, capsys):
     [
         ["series", "--kind", "Zeta", "--s", "0", "--order", "3"],
         ["series", "--kind", "Moebius", "--s", "1", "--order", "0"],
+        # past the partition cap: refused before any degree is convolved
+        ["series", "--kind", "Hd", "--d", "2", "--order", "13"],
     ],
 )
 def test_cli_series_library_error_exit_code(argv, capsys):

@@ -47,13 +47,16 @@ from helpers import (
     mixed_2x2,
     dense_dvalued_cumulant,
     mixed_values,
+    model_from_cyclic_table,
     operator_words,
     opvalued_cumulant_pi,
     recursive_opvalued_cumulant,
+    random_cyclic_table,
     random_model,
     scalar_generator_families,
     sparse_polynomials,
     two_free_mixed_2x2,
+    VALUES,
 )
 
 
@@ -185,6 +188,32 @@ def test_chain_sums_match_dense_loops(fam, data):
     # the weighted chain sum itself, past its hypothesis
     with mock.patch.object(opvalued, "check_chain_hypothesis", lambda mats, order: (True, None)):
         assert dvalued_cumulant(args, lambdas) == expect
+
+
+def test_chain_sums_match_dense_loops_at_d3_s2():
+    # seeded 3x3 pairs of matrices whose tables are rich enough that the
+    # chain sums have nonzero values to compare, which drawn families rarely
+    # give; every matrix word up to length 4, random diagonal weights
+    nonzero_d = nonzero_b = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        _, fam = model_from_cyclic_table(random_cyclic_table(rng, 3, 2, 4, per_length=6))
+        mats = [family_matrix(fam, r) for r in (1, 2)]
+        for n in range(1, 5):
+            for rword in itertools.product((1, 2), repeat=n):
+                args = [mats[r - 1] for r in rword]
+                lambdas = [
+                    ScalarMatrix.diagonal([rng.choice([0, *VALUES]) for _ in range(3)])
+                    for _ in range(n - 1)
+                ]
+                dv = dvalued_cumulant(args, lambdas)
+                assert dv == dense_dvalued_cumulant(args, lambdas)
+                bv = bvalued_cumulant_entrywise(args)
+                assert bv == bvalued_cumulant_pi(Partition.whole(n), args)
+                nonzero_d += sum(1 for i in (1, 2, 3) if dv.entry(i, i))
+                nonzero_b += sum(1 for row in bv.rows for v in row if v)
+    # 53 and 66 with these seeds
+    assert nonzero_d >= 40 and nonzero_b >= 50
 
 
 def test_generic_cumulant_caps_its_arguments():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ncfree import rcyclic
+from ncfree import freeprob
 from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.rcyclic import (
     MatrixFamily,
@@ -272,6 +272,18 @@ def test_closure_budget_capped_by_model_order():
         closure_check(fam, diag, budget=5)
 
 
+def test_closure_budget_capped_by_partition_cap():
+    # the model order is 13, so only the partition cap refuses the default
+    # budget, and it does so before any cumulant is computed
+    table = {(1, 1): 1, (4, 4): 1, (2, 3): 1, (3, 2): 1}
+    fam = MatrixFamily.from_generator_entries(2, 1, CumulantModel.of(4, 13, table))
+    grid = [[NcPolynomial.unit(), NcPolynomial.zero()], [NcPolynomial.zero(), NcPolynomial.unit()]]
+    for budget in (None, 13):
+        with pytest.raises(ValueError, match="budget 13 exceeds the cap of 12"):
+            closure_check(fam, grid, budget)
+    assert closure_check(fam, grid, 4) == (True, None)
+
+
 @pytest.mark.parametrize("budget, rows, cols", [
     (0, 2, 2),
     (-1, 2, 2),
@@ -292,7 +304,7 @@ def test_closure_reads_generator_chains_off_the_table(monkeypatch):
     # chain of scaled generators and no state is computed
     calls = []
     monkeypatch.setattr(
-        rcyclic, "_phi_numerator", lambda model, word: calls.append(word) or 1
+        freeprob, "_phi_numerator", lambda model, word: calls.append(word) or 1
     )
     table = {(1, 1): 1, (4, 4): Fraction(1, 3), (2, 3): 1, (3, 2): 1, (1, 2, 3): Fraction(-2, 7)}
     fam = MatrixFamily.from_generator_entries(2, 1, CumulantModel.of(4, 4, table))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfree.ncpartition import Partition
+from ncfree import series
+from ncfree.ncpartition import DEFAULT_MAX_GROUND_SET, Partition
 from ncfree.series import (
     Series,
     add,
@@ -144,6 +145,26 @@ def test_boxed_inverse_needs_nonzero_degree_one():
     f = Series.of(2, 3, {(1,): 1, (1, 2): 1})  # letter 2 missing at degree 1
     with pytest.raises(ValueError):
         boxed_inverse(f)
+
+
+def test_orders_past_the_partition_cap_fail_before_any_work(monkeypatch):
+    # one order past the cap: every NC(n)-walking entry point raises before
+    # it generates a single NC(n), and h_series before it builds its operands
+    calls = []
+    monkeypatch.setattr(series, "nc_pairs", lambda n: calls.append(n) or ())
+    monkeypatch.setattr(series, "moebius", lambda s, order: calls.append("moebius"))
+    order = DEFAULT_MAX_GROUND_SET + 1
+    f, g = zeta(1, order), delta(1, order)
+    pair = Series.of(2, order, {(1,): 1, (2,): 1})
+    for call in (
+        lambda: boxed_convolve(f, g),
+        lambda: ext_boxed_convolve(pair, g),
+        lambda: boxed_inverse(f),
+        lambda: h_series(2, order),
+    ):
+        with pytest.raises(ValueError, match=f"order {order} exceeds the cap of"):
+            call()
+    assert calls == []
 
 
 def test_ext_matches_plain_when_d_is_alphabet():
