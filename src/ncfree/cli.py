@@ -402,6 +402,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.trials < 2:
+        # one trial has an infinite standard error, so every tolerance passes
+        print(f"error: mc needs --trials of at least 2, got {args.trials}", file=sys.stderr)
+        return 2
     from . import mc as mcmod  # numpy loads only for this subcommand
 
     spec = _load_spec(args.spec)

@@ -14,7 +14,13 @@ of it runs on integers: with the table as numerators over its lcm L, the
 state of a word of length n is one integer over L^n, cached per model.
 
 Moment series and R-transforms convert between the two coefficient systems
-through boxed convolution with the zeta and Moebius series.
+by the same recursion, on integers and without walking NC(n): the moments of
+a cumulant series are the states of the model whose table it is, and the
+cumulants of a moment series come from inverting the recursion one word at a
+time, each cumulant being its moment minus the terms of the blocks V that
+hold the first letter and are not the whole word (Nica-Speicher, Lectures on
+the Combinatorics of Free Probability, Lecture 11).  That inversion is the
+one `rcyclic.closure_check` runs on index tuples.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .ncpartition import DEFAULT_MAX_GROUND_SET
-from .series import Series, boxed_convolve, moebius, over_lcm, zeta
+from .series import Series, _within_cap, over_lcm
 
 Word = tuple[int, ...]
 
@@ -225,6 +231,13 @@ def _phi_numerator(model: CumulantModel, word: Word) -> int:
     return acc
 
 
+def _terms_state(model: CumulantModel, terms: Iterable[tuple[Word, int]], deg: int) -> int:
+    # The state of a sum of c * word (integer terms) times L^deg; deg bounds
+    # every word's length.
+    den = model.numerators[0]
+    return sum(c * _phi_numerator(model, w) * den ** (deg - len(w)) for w, c in terms)
+
+
 def _product_state(
     model: CumulantModel, factors: Sequence[Iterable[tuple[Word, int]]], deg: int
 ) -> int:
@@ -239,6 +252,50 @@ def _product_state(
             coeff *= c
             word += w
         acc += coeff * _phi_numerator(model, word) * den ** (deg - len(word))
+    return acc
+
+
+def _scaled_cumulant(
+    idx: tuple[int, ...],
+    memo: dict[tuple[int, ...], int],
+    moment: Callable[[tuple[int, ...]], int],
+    table_value: Callable[[tuple[int, ...]], int | None] | None = None,
+    prefixes: Container[tuple[int, ...]] | None = None,
+) -> int:
+    # The cumulant of idx by the first-block inversion on scaled integers:
+    # its moment minus, over each block V holding position 0 that is not the
+    # whole of idx, the cumulant of idx|V times the moments of the gaps V
+    # leaves (the tail after V included).  moment() must be scaled
+    # multiplicatively over blocks, with moment(()) == 1; the result carries
+    # the same scale.  V grows left to right, a vanishing gap cutting every
+    # block through it, and, given prefixes, only while idx|V spells one of
+    # them: the caller promises that every shorter tuple with a nonzero
+    # cumulant has all its prefixes there.  table_value, when given, answers
+    # a tuple outright unless it returns None.  Module level, not a closure
+    # over memo, so the memo is freed on return rather than by the cycle
+    # collector.
+    acc = None if table_value is None else table_value(idx)
+    if acc is None:
+        n = len(idx)
+        acc = moment(idx)
+        # (last position in V, entries of idx|V, product of the closed gaps' moments)
+        stack = [(0, idx[:1], 1)]
+        while stack:
+            last, sub, gaps = stack.pop()
+            if len(sub) < n:
+                tail = moment(idx[last + 1 :])
+                if tail:
+                    kappa = memo.get(sub)
+                    if kappa is None:
+                        kappa = _scaled_cumulant(sub, memo, moment, table_value, prefixes)
+                    acc -= kappa * gaps * tail
+            for nxt in range(last + 1, n):
+                gap = moment(idx[last + 1 : nxt])
+                if gap:
+                    grown = sub + (idx[nxt],)
+                    if prefixes is None or grown in prefixes:
+                        stack.append((nxt, grown, gaps * gap))
+    memo[idx] = acc
     return acc
 
 
@@ -259,8 +316,8 @@ def phi_poly(model: CumulantModel, p: NcPolynomial) -> Fraction:
     as one integer over P L^deg (P the lcm of the coefficient denominators)
     and divided once."""
     deg = p.degree()
-    p_den, terms = integer_terms([p])
-    return Fraction(_product_state(model, terms, deg), p_den * model.numerators[0] ** deg)
+    p_den, (terms,) = integer_terms([p])
+    return Fraction(_terms_state(model, terms, deg), p_den * model.numerators[0] ** deg)
 
 
 def moment_series(
@@ -288,7 +345,7 @@ def moment_series(
     while stack:
         word, prod = stack.pop()
         deg = max(map(len, prod), default=0)
-        acc = _product_state(model, [prod.items()], deg)
+        acc = _terms_state(model, prod.items(), deg)
         if acc:
             out[word] = Fraction(acc, p_den ** len(word) * den**deg)
         if len(word) < n_max:
@@ -303,13 +360,59 @@ def moment_series(
 
 
 def r_transform(m: Series) -> Series:
-    """Cumulant series of a moment series."""
-    return boxed_convolve(m, moebius(m.alphabet, m.order))
+    """Cumulant series of a moment series.
+
+    Solved degree by degree over every word of the alphabet by the
+    first-block inversion
+
+        kappa(w) = m(w) - sum over V holding the first letter, V not all of w,
+                   of kappa(w|V) times the product of m over the gaps V leaves
+
+    (the tail after V's last letter is a gap too).  It runs on integers:
+    with m as numerators a over their lcm L, M(w) = a(w) L^(|w|-1) is m(w)
+    times L^|w|, a scale multiplicative over blocks, so kappa(w) comes out as
+    one integer over L^|w| and is made a Fraction once.  V grows only while
+    its letters spell a prefix of a nonzero lower-degree cumulant, and a
+    vanishing gap cuts every block through it.  Equals the boxed convolution
+    of m with the Moebius series.  An order above DEFAULT_MAX_GROUND_SET
+    raises ValueError before any cumulant is computed.
+    """
+    _within_cap(m.order)
+    s = m.alphabet
+    den, by_word = m.numerators.denominator, m.numerators.by_word
+    scaled = {w: a * den ** (len(w) - 1) for w, a in by_word.items()}
+    scaled[()] = 1
+
+    def moment(w: Word) -> int:
+        return scaled.get(w, 0)
+
+    memo: dict[Word, int] = {}
+    prefixes: set[Word] = set()
+    out: dict[Word, Fraction] = {}
+    for n in range(1, m.order + 1):
+        found = []
+        for w in itertools.product(range(1, s + 1), repeat=n):
+            kappa = _scaled_cumulant(w, memo, moment, prefixes=prefixes)
+            if kappa:
+                found.append(w)
+                out[w] = Fraction(kappa, den**n)
+        prefixes.update(w[:k] for w in found for k in range(1, n + 1))
+    return Series.of(s, m.order, out)
 
 
 def m_from_r(r: Series) -> Series:
-    """Moment series of a cumulant series."""
-    return boxed_convolve(r, zeta(r.alphabet, r.order))
+    """Moment series of a cumulant series.
+
+    The moments are the states of the generators in the model whose
+    cumulant table is r, so they come from `moment_series` by the
+    first-block recursion over the table's prefixes, on integers (see
+    `phi_word`).  Equals the boxed convolution of r with the zeta series.
+    An order above DEFAULT_MAX_GROUND_SET raises ValueError before any state
+    is computed.
+    """
+    _within_cap(r.order)
+    model = CumulantModel(r.alphabet, r.order, r.items)
+    return moment_series(model, [NcPolynomial.generator(g) for g in range(1, r.alphabet + 1)])
 
 
 def check_free(r: Series, families: Sequence[Iterable[int]]) -> tuple[bool, Word | None]:

@@ -26,12 +26,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .freeprob import (
     CumulantModel,
     NcPolynomial,
     _product_state,
+    _scaled_cumulant,
     integer_terms,
     single_generator_form,
 )
@@ -298,39 +299,6 @@ def partial_sum_rtransform(f: Series, d: int) -> Series:
         if slot[0]:
             out[rword] = slot[0]
     return Series.of(s, f.order, out)
-
-
-def _scaled_cumulant(
-    idx: tuple[int, ...],
-    memo: dict[tuple[int, ...], int],
-    moment: Callable[[tuple[int, ...]], int],
-    table_value: Callable[[tuple[int, ...]], int | None],
-) -> int:
-    # The table's value when it has one, else the first-block inversion on
-    # scaled integers, V growing left to right.  Module level, not a closure
-    # over memo, so the memo is freed on return rather than by the cycle
-    # collector.
-    acc = table_value(idx)
-    if acc is None:
-        n = len(idx)
-        acc = moment(idx)
-        # (last position in V, entries of idx|V, product of the closed gaps' moments)
-        stack = [(0, idx[:1], 1)]
-        while stack:
-            last, sub, gaps = stack.pop()
-            if len(sub) < n:
-                tail = moment(idx[last + 1 :])
-                if tail:
-                    kappa = memo.get(sub)
-                    if kappa is None:
-                        kappa = _scaled_cumulant(sub, memo, moment, table_value)
-                    acc -= kappa * gaps * tail
-            for nxt in range(last + 1, n):
-                gap = moment(idx[last + 1 : nxt])
-                if gap:
-                    stack.append((nxt, sub + (idx[nxt],), gaps * gap))
-    memo[idx] = acc
-    return acc
 
 
 def _degree_bounded(

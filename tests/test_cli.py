@@ -222,6 +222,14 @@ def test_cli_mc_small(tmp_path, capsys):
     assert rows[1][3] == "1/1"  # exact second moment of the one-circular-pair family
 
 
+@pytest.mark.parametrize("trials", ["1", "0", "-3"])
+def test_cli_mc_needs_two_trials(tmp_path, capsys, trials):
+    # a single trial would pass any tolerance through its infinite stderr
+    path = spec_file(tmp_path, CIRC_SPEC)
+    argv = ["mc", "--spec", path, "--max-moment", "1", "--size", "16", "--trials", trials]
+    assert_usage_error(run(argv), capsys)
+
+
 def test_cli_mc_rejects_general_cumulants(tmp_path, capsys):
     bad = spec_file(tmp_path, "order 2\ndim 1\nmatrices 1\ncumulant 1:1,1 = 1\n")
     assert run(["mc", "--spec", bad]) == 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncfree.freeprob as freeprob
 from ncfree.freeprob import (
     CumulantModel,
     NcPolynomial,
@@ -17,7 +18,7 @@ from ncfree.freeprob import (
     single_generator_form,
 )
 from ncfree.ncpartition import nc_pairs
-from ncfree.series import Series, coef
+from ncfree.series import Series, boxed_convolve, coef, moebius, zeta
 from helpers import (
     cumulant_of_elements,
     moment_elements,
@@ -25,6 +26,7 @@ from helpers import (
     prefix_sharing_models,
     random_invertible_series,
     random_model,
+    rational_series,
     slow_moment_series,
     slow_phi_poly,
     slow_phi_word,
@@ -140,6 +142,45 @@ def test_r_and_m_are_inverse():
         f = random_invertible_series(rng, 2, 4)
         assert r_transform(m_from_r(f)) == f
         assert m_from_r(r_transform(f)) == f
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), s=st.integers(1, 3))
+def test_conversions_match_boxed_convolution(data, s):
+    # sparse or dense series, with zero or missing degree-1 coefficients, or
+    # the moment series of one to three elements (constants and c +/- x make
+    # it dense)
+    order = data.draw(st.integers(1, 5 if s < 3 else 4))
+    if data.draw(st.booleans()):
+        f = data.draw(rational_series(s, order))
+    else:
+        model = data.draw(sparse_models(s, 2 * order))
+        f = moment_series(model, data.draw(moment_elements(s)), order)
+    assert r_transform(f) == boxed_convolve(f, moebius(f.alphabet, order))
+    assert m_from_r(f) == boxed_convolve(f, zeta(f.alphabet, order))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_conversions_refuse_order_past_cap_up_front(monkeypatch, s):
+    calls = []
+
+    def record(name):
+        real = getattr(freeprob, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(freeprob, name, wrapper)
+
+    for name in ("_phi_numerator", "_scaled_cumulant"):
+        record(name)
+    f = Series.of(s, 13, {(1,): 1, (1, 1): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        r_transform(f)
+    with pytest.raises(ValueError):
+        m_from_r(f)
+    assert calls == []
 
 
 def test_free_generators_have_no_mixed_cumulants():
