@@ -4,14 +4,12 @@ their diagonal subalgebra.
 For matrices with entries in a cumulant model, the entrywise state is a
 conditional expectation onto the scalar d x d matrices (algebra "B"); keeping
 only the diagonal gives the expectation onto diagonal scalar matrices
-(algebra "D").  Cumulants of arbitrary arguments come from the first-block
-recursion: grouping the non-crossing partitions by the block V that holds
-the first argument, the expectation of a product is the sum over V of the
-cumulant of V's arguments, each times the expectation of the gap it opens,
-times the expectation of the arguments after V; the cumulant is what the
-block V = [n] leaves.  For zero or scaled single-generator entries the B- and
-D-valued cumulants are sums of scalar chain cumulants instead, read off one
-walk over the model's table.
+(algebra "D").  Their cumulants are sums of scalar cumulants of entry
+chains: d^(n+1) chains for a B-valued cumulant of n arguments, d^n closed
+ones for a D-valued one, each inverted by first block over the chain's
+scalar moments (for D with the moments of open segments zeroed).  For zero
+or scaled single-generator entries the chain cumulants are also read off
+one walk over the model's table.
 
 The module also hosts the amalgamated-freeness word check and the
 reconstruction of a cyclic table from diagonal-valued cumulant data.  The
@@ -28,19 +26,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .freeprob import CumulantModel, NcPolynomial, phi_poly, product_sum
 from .ncpartition import DEFAULT_MAX_GROUND_SET
-from .rcyclic import _chain_letters, _is_cyclic, _nonzero_chains, _parsed_grids, _scan
+from .rcyclic import _chain_letters, _entries, _is_cyclic, _nonzero_chains, _parsed_grids, _scan
 
 Word = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# The first-block recursion makes 2 a(n - 1) calls for n arguments, a the
-# ordered Bell numbers: 9,366 at n = 7, 94,586 at n = 8, 3.2 * 10^9 at n = 12.
+# Chains grow as d^n and states as the chains' total degree; the cap keeps
+# the exit codes of `ncfree opcumulant` on words past it.
 MAX_CUMULANT_ARGS = 8
 
 
@@ -260,78 +258,49 @@ def expect_d(x: OperatorMatrix) -> ScalarMatrix:
     return ScalarMatrix.diagonal([phi_poly(x.model, x.rows[i][i]) for i in range(d)])
 
 
-_EXPECT = {"B": expect_b, "D": expect_d}
-
-
 def opvalued_cumulant_generic(xs: Sequence[OperatorMatrix], algebra: str) -> ScalarMatrix:
-    """Full cumulant by the first-block recursion.
+    """Full cumulant from scalar cumulants of entry chains.
 
-    Grouping the non-crossing partitions of the arguments by the block
-    V = {1 = v_1 < ... < v_k} that holds the first one,
-
-        E(x_1 ... x_n) = sum over V of
-            K_k(x_{v_1} E(gap_1), ..., x_{v_{k-1}} E(gap_{k-1}), x_{v_k}) E(x_{v_k+1} ... x_n),
-
-    where gap_t holds the arguments strictly between v_t and v_{t+1} and an
-    empty gap or tail has expectation the identity (Speicher, Mem. AMS 627,
-    1998).  K_n is E(x_1 ... x_n) minus the terms with V != [n].  E is the
-    entrywise state for algebra 'B' and its diagonal for 'D'.  Interval
-    products and expectations are computed once per recursive call.
+    For the entrywise state (algebra 'B') entry (i, j) is the sum, over
+    index chains i = i_0, ..., i_n = j, of the scalar cumulants
+    k_n(x^1_{i_0 i_1}, ..., x^n_{i_{n-1} i_n}) of the arguments' entries.
+    For its diagonal (algebra 'D') entry (j, j) sums the coordinates of
+    dcumulant_data over the closed chains i_0 = i_n = j.  Either way each
+    chain is one first-block inversion of its scalar moments, on integers.
 
     The arguments must be nonempty, over one model and of one size, and at
     most MAX_CUMULANT_ARGS of them; otherwise, or for another algebra, this
-    raises ValueError before any work.
+    raises ValueError before any work.  A chain whose product reaches past
+    the model order raises the state's ValueError.
     """
     xs = _nonempty(xs)
-    expect = _EXPECT.get(algebra)
-    if expect is None:
+    if algebra not in ("B", "D"):
         raise ValueError(f"algebra must be 'B' or 'D', got {algebra!r}")
-    if len(xs) > MAX_CUMULANT_ARGS:
-        raise ValueError(f"{len(xs)} arguments exceed the cap of {MAX_CUMULANT_ARGS}")
-    return _cumulant(xs, expect)
-
-
-def _cumulant(
-    xs: Sequence[OperatorMatrix], expect: Callable[[OperatorMatrix], ScalarMatrix]
-) -> ScalarMatrix:
-    # The first-block recursion of opvalued_cumulant_generic.  V grows left
-    # to right from position 0; each stacked state holds V's last position
-    # and its earlier arguments, already multiplied by their gaps'
-    # expectations, so a vanishing gap cuts every block through it.
     n = len(xs)
-    prods: dict[tuple[int, int], OperatorMatrix] = {}
-    moments: dict[tuple[int, int], ScalarMatrix] = {}
+    if n > MAX_CUMULANT_ARGS:
+        raise ValueError(f"{n} arguments exceed the cap of {MAX_CUMULANT_ARGS}")
+    model, d = xs[0].model, xs[0].d
+    distinct = _distinct(xs)
+    ents = _entries(model, [m.rows for m in distinct])
+    rword = tuple(distinct.index(x) + 1 for x in xs)
+    memo: dict[tuple[int, ...], int] = {}
+    rows = [[_ZERO] * d for _ in range(d)]
+    if algebra == "B":
+        # past the model order the table holds nothing, yet the state raises
+        table_value = ents.table_value if n <= model.order else None
+        for path in itertools.product(range(1, d + 1), repeat=n + 1):
+            idx = _chain(d, rword, path)
+            rows[path[0] - 1][path[-1] - 1] += ents.cumulant(idx, memo, ents.moment, table_value)
+    else:
+        for iword in itertools.product(range(1, d + 1), repeat=n):
+            idx = _chain(d, rword, iword[-1:] + iword)
+            rows[iword[-1] - 1][iword[-1] - 1] += ents.cumulant(idx, memo, ents.closed_moment)
+    return ScalarMatrix(d, tuple(map(tuple, rows)))
 
-    def moment(a: int, b: int) -> ScalarMatrix:
-        # E(x_a ... x_{b-1}) for a < b, the products built by extending
-        # cached shorter ones
-        hit = moments.get((a, b))
-        if hit is None:
-            p = xs[a]
-            for c in range(a + 1, b):
-                q = prods.get((a, c + 1))
-                if q is None:
-                    q = prods[(a, c + 1)] = p.mul(xs[c])
-                p = q
-            hit = moments[(a, b)] = expect(p)
-        return hit
 
-    acc = moment(0, n)
-    stack: list[tuple[int, tuple[OperatorMatrix, ...]]] = [(0, ())]
-    while stack:
-        last, head = stack.pop()
-        if len(head) + 1 < n:
-            kappa = _cumulant(head + (xs[last],), expect)
-            if last + 1 < n:
-                kappa = kappa * moment(last + 1, n)
-            acc = acc - kappa
-        for nxt in range(last + 1, n):
-            x = xs[last]
-            if nxt > last + 1:
-                x = x.mul_scalar_right(moment(last + 1, nxt))
-            if not x.is_zero():
-                stack.append((nxt, head + (x,)))
-    return acc
+def _chain(d: int, rword: Word, path: Sequence[int]) -> tuple[int, ...]:
+    # entry numbers of entry(r_1; path_0, path_1), ..., entry(r_n; path_{n-1}, path_n)
+    return tuple(((r - 1) * d + path[t] - 1) * d + path[t + 1] - 1 for t, r in enumerate(rword))
 
 
 def bvalued_cumulant_entrywise(mats: Sequence[OperatorMatrix]) -> ScalarMatrix:
@@ -607,30 +576,29 @@ def _word_search(
 def dcumulant_data(
     mats: Sequence[OperatorMatrix], order: int
 ) -> dict[tuple[Word, Word], Fraction]:
-    """Diagonal-valued cumulant data of a family, by the generic recursion.
+    """Diagonal-valued cumulant data of a family, for any entries.
 
-    For each matrix word and index word, the first n-1 arguments are cut down
-    by the matching diagonal units and the (i_n, i_n) entry of the diagonal
-    cumulant is recorded; the arguments do not depend on i_n, so one
-    cumulant per index prefix gives all d entries.  For an R-cyclic family
-    this reproduces the cyclic table exactly.  An order above
+    For a matrix word r and an index word i, the first n-1 arguments A_{r_t}
+    are cut down by the diagonal units P_{i_t}, and the (i_n, i_n) entry of
+    their diagonal cumulant is recorded under (r, i).  Only the closed chain
+    entry(r_1; i_n, i_1), ..., entry(r_n; i_{n-1}, i_n) reaches it, so it is
+    the chain's first-block inversion with the moment of every gap or tail
+    whose first row is not its last column taken as zero.  That is the
+    chain's scalar cumulant, and the cyclic table, only on R-cyclic
+    families, so the table is not read.  An order above
     MAX_CUMULANT_ARGS raises ValueError before any work.
     """
     mats = _nonempty(mats)
     if order > MAX_CUMULANT_ARGS:
         raise ValueError(f"order {order} exceeds the cap of {MAX_CUMULANT_ARGS} arguments")
     d = mats[0].d
-    s = len(mats)
+    ents = _entries(mats[0].model, [m.rows for m in mats])
+    memo: dict[tuple[int, ...], int] = {}
     data: dict[tuple[Word, Word], Fraction] = {}
-    punits = [ScalarMatrix.unit(d, i, i) for i in range(1, d + 1)]
     for n in range(1, order + 1):
-        for rword in itertools.product(range(1, s + 1), repeat=n):
-            for prefix in itertools.product(range(1, d + 1), repeat=n - 1):
-                args = [mats[r - 1].mul_scalar_right(punits[i - 1]) for r, i in zip(rword, prefix)]
-                args.append(mats[rword[-1] - 1])
-                km = _cumulant(args, expect_d)
-                for i in range(1, d + 1):
-                    val = km.entry(i, i)
-                    if val:
-                        data[(rword, prefix + (i,))] = val
+        for rword in itertools.product(range(1, len(mats) + 1), repeat=n):
+            for iword in itertools.product(range(1, d + 1), repeat=n):
+                val = ents.cumulant(_chain(d, rword, iword[-1:] + iword), memo, ents.closed_moment)
+                if val:
+                    data[(rword, iword)] = val
     return data

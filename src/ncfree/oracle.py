@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .ncpartition import Partition
@@ -73,7 +74,12 @@ def _crosses(p: Partition) -> bool:
 
 def nc_by_filter(n: int) -> list[Partition]:
     """Non-crossing partitions obtained by filtering all set partitions."""
-    return [p for p in all_set_partitions(n) if not _crosses(p)]
+    return list(_nc_filtered(n))
+
+
+@lru_cache(maxsize=MAX_SET_PARTITION_N)
+def _nc_filtered(n: int) -> tuple[Partition, ...]:
+    return tuple(p for p in all_set_partitions(n) if not _crosses(p))
 
 
 def _perm_images(p: Partition) -> tuple[int, ...]:
@@ -92,11 +98,12 @@ def kreweras_by_search(p: Partition) -> Partition:
     gamma = tuple(range(2, n + 1)) + (1,)
     pim = _perm_images(p)
     hits = []
-    for q in nc_by_filter(n):
+    for q in _nc_filtered(n):
         qim = _perm_images(q)
         if tuple(pim[qim[k] - 1] for k in range(n)) == gamma:
             hits.append(q)
-    assert len(hits) == 1, f"complement not unique for {p}: {hits}"
+    if len(hits) != 1:
+        raise RuntimeError(f"complement not unique for {p}: {hits}")
     return hits[0]
 
 
@@ -114,10 +121,9 @@ def cumulants_by_inversion(
         raise ValueError(f"inversion oracle limited to order {MAX_INVERSION_ORDER}")
     kappa: dict[Word, Fraction] = {}
     for n in range(1, order + 1):
-        ncs = nc_by_filter(n)
         for w in itertools.product(range(1, alphabet + 1), repeat=n):
             acc = Fraction(0)
-            for p in ncs:
+            for p in _nc_filtered(n):
                 if len(p.blocks) == 1:
                     continue
                 term = Fraction(1)

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .freeprob import (
     CumulantModel,
@@ -315,6 +315,70 @@ def _degree_bounded(
             yield from _degree_bounded(degs, n, budget - deg, head + (t,))
 
 
+class _Entries(NamedTuple):
+    """The entries of some d x d polynomial grids, numbered grid by grid in
+    row-major order: (grid, row, column) tags from 1, degrees, integer term
+    lists over P and the lcms (P, L), with the moment() and table_value()
+    callbacks of the first-block inversion on the scale of closure_check."""
+
+    tags: list[tuple[int, int, int]]
+    degs: list[int]
+    terms: list[tuple[tuple[Word, int], ...]]
+    dens: tuple[int, int]
+    moment: Callable[[tuple[int, ...]], int]
+    table_value: Callable[[tuple[int, ...]], int | None]
+
+    def closed_moment(self, idx: tuple[int, ...]) -> int:
+        """moment() if the tuple is empty or its first row is its last column, else 0."""
+        return self.moment(idx) if not idx or self.tags[idx[0]][1] == self.tags[idx[-1]][2] else 0
+
+    def cumulant(self, idx: tuple[int, ...], memo: dict, moment, table_value=None) -> Fraction:
+        """The first-block inversion of moment() at the tuple, as a rational."""
+        if any(not self.terms[t] for t in idx):
+            return _ZERO
+        p_den, l_den = self.dens
+        scaled = _scaled_cumulant(idx, memo, moment, table_value)
+        return Fraction(scaled, p_den ** len(idx) * l_den ** sum(self.degs[t] for t in idx))
+
+
+def _entries(model: CumulantModel, grids: Sequence[Sequence[Sequence[NcPolynomial]]]) -> _Entries:
+    elems = [e for grid in grids for row in grid for e in row]
+    d = len(grids[0])
+    tags = [(t // (d * d) + 1, t // d % d + 1, t % d + 1) for t in range(len(elems))]
+    degs = [e.degree() for e in elems]
+    p_den, terms = integer_terms(elems)
+    l_den, numerators = model.numerators
+    # (c * P, letter) for an entry c x_letter, (0, 0) for a zero entry, None
+    # for anything else
+    forms = [
+        (ts[0][1], ts[0][0][0]) if len(ts) == 1 and len(ts[0][0]) == 1
+        else None if ts else (0, 0)
+        for ts in terms
+    ]
+
+    def table_value(idx: tuple[int, ...]) -> int | None:
+        # a chain of scaled generators has cumulant prod(c) * t(word) / L,
+        # which scaled by P^n L^n is prod(c P) * t_L(word) * L^(n - 1)
+        coeff = 1
+        word = []
+        for t in idx:
+            form = forms[t]
+            if form is None:
+                return None
+            coeff *= form[0]
+            word.append(form[1])
+        if not coeff:
+            return 0
+        return coeff * numerators.get(tuple(word), 0) * l_den ** (len(idx) - 1)
+
+    @cache
+    def moment(idx: tuple[int, ...]) -> int:
+        # scaled by P^n L^D, D the total degree of the entries
+        return _product_state(model, [terms[t] for t in idx], sum(degs[t] for t in idx))
+
+    return _Entries(tags, degs, terms, (p_den, l_den), moment, table_value)
+
+
 def closure_check(
     fam: MatrixFamily,
     new_grid: Sequence[Sequence[NcPolynomial]],
@@ -358,52 +422,14 @@ def closure_check(
     d = fam.d
     if len(new_grid) != d or any(len(row) != d for row in new_grid):
         raise ValueError(f"new grid must be {d} x {d}")
-    elems: list[NcPolynomial] = []
-    tags: list[tuple[int, int, int]] = []
-    for r, grid in enumerate((*fam.grids, new_grid), start=1):
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                elems.append(grid[i - 1][j - 1])
-                tags.append((r, i, j))
-    degs = [e.degree() for e in elems]
-    terms = integer_terms(elems)[1]
-    l_den, numerators = model.numerators
-    # (c * P, letter) for an entry c x_letter, (0, 0) for a zero entry, None
-    # for anything else
-    forms = [
-        (ts[0][1], ts[0][0][0]) if len(ts) == 1 and len(ts[0][0]) == 1
-        else None if ts else (0, 0)
-        for ts in terms
-    ]
-
+    ents = _entries(model, (*fam.grids, new_grid))
     memo: dict[tuple[int, ...], int] = {}
-
-    def table_value(idx: tuple[int, ...]) -> int | None:
-        # a chain of scaled generators has cumulant prod(c) * t(word) / L,
-        # which scaled by P^n L^n is prod(c P) * t_L(word) * L^(n - 1)
-        coeff = 1
-        word = []
-        for t in idx:
-            form = forms[t]
-            if form is None:
-                return None
-            coeff *= form[0]
-            word.append(form[1])
-        if not coeff:
-            return 0
-        return coeff * numerators.get(tuple(word), 0) * l_den ** (len(idx) - 1)
-
-    @cache
-    def moment(idx: tuple[int, ...]) -> int:
-        # scaled by P^n L^D, D the total degree of the entries
-        return _product_state(model, [terms[t] for t in idx], sum(degs[t] for t in idx))
-
     for n in range(1, n_budget + 1):
-        for idx in _degree_bounded(degs, n, n_budget):
-            pairs = tuple(tags[t][1:] for t in idx)
+        for idx in _degree_bounded(ents.degs, n, n_budget):
+            pairs = tuple(ents.tags[t][1:] for t in idx)
             if _is_cyclic(pairs):
                 continue
-            if _scaled_cumulant(idx, memo, moment, table_value):
-                rword = tuple(tags[t][0] for t in idx)
+            if _scaled_cumulant(idx, memo, ents.moment, ents.table_value):
+                rword = tuple(ents.tags[t][0] for t in idx)
                 return False, (rword, pairs)
     return True, None

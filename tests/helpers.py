@@ -222,6 +222,24 @@ def recursive_opvalued_cumulant(xs: Sequence[OperatorMatrix], algebra: str) -> S
     return acc
 
 
+def recursive_dcumulant_data(mats: Sequence[OperatorMatrix], order: int) -> dict:
+    """Diagonal cumulant data by the defining recursion: for each matrix word
+    and index word, the first n-1 arguments cut down by the matching diagonal
+    units, and the (i_n, i_n) entry of their diagonal cumulant."""
+    d = mats[0].d
+    punits = [ScalarMatrix.unit(d, i, i) for i in range(1, d + 1)]
+    data = {}
+    for n in range(1, order + 1):
+        for rword in itertools.product(range(1, len(mats) + 1), repeat=n):
+            for prefix in itertools.product(range(1, d + 1), repeat=n - 1):
+                args = [mats[r - 1].mul_scalar_right(punits[i - 1]) for r, i in zip(rword, prefix)]
+                km = recursive_opvalued_cumulant(args + [mats[rword[-1] - 1]], "D")
+                for i in range(1, d + 1):
+                    if km.entry(i, i):
+                        data[(rword, prefix + (i,))] = km.entry(i, i)
+    return data
+
+
 def opvalued_cumulant_pi(
     p: Partition, xs: Sequence[OperatorMatrix], algebra: str, extract: str = "leftmost"
 ) -> ScalarMatrix:

@@ -197,6 +197,23 @@ def test_cli_opcumulant(tmp_path, capsys):
     assert capsys.readouterr().out == "0/1\t0/1\n0/1\t0/1\n"
 
 
+def test_cli_opcumulant_eight_letters_with_means(tmp_path, capsys):
+    # every entry has mean 1 and variance 1, so no first moment vanishes
+    entries = [f"1:{i},{j}" for i in (1, 2) for j in (1, 2)]
+    text = "order 8\ndim 2\nmatrices 1\n" + "".join(
+        f"cumulant {e} = 1/1\ncumulant {e} {e} = 1/1\n" for e in entries
+    )
+    path = spec_file(tmp_path, text)
+    model, fam = build_model(parse_spec(text))
+    x = ncfree.OperatorMatrix.of(model, fam.grids[0])
+    for algebra in ("B", "D"):
+        km = ncfree.opvalued_cumulant_generic([x] * 8, algebra)
+        fmt = ncfree.format_rational
+        want = "".join(f"{fmt(km.entry(i, 1))}\t{fmt(km.entry(i, 2))}\n" for i in (1, 2))
+        assert run(["opcumulant", "--spec", path, "--algebra", algebra, "--word", ",".join("1" * 8)]) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_cli_verify(capsys):
     assert run(["verify", "--suite", "series", "--order", "3"]) == 0
     out = capsys.readouterr().out

@@ -30,6 +30,7 @@ from ncfree.rcyclic import (
     RCyclicFamily,
     cyclic_family,
     determining_series,
+    entry_letter,
     family_moments,
 )
 from ncfree.series import coef
@@ -53,6 +54,7 @@ from helpers import (
     recursive_opvalued_cumulant,
     random_cyclic_table,
     random_model,
+    recursive_dcumulant_data,
     scalar_generator_families,
     sparse_polynomials,
     two_free_mixed_2x2,
@@ -227,6 +229,73 @@ def test_generic_cumulant_caps_its_arguments():
         dcumulant_data([x], 9)
     with pytest.raises(ValueError, match="algebra must be 'B' or 'D'"):
         opvalued_cumulant_generic([x], "C")
+
+
+def mean_one_family(order=8):
+    # 2x2 generator entries, each with mean 1 and variance 1: no first moment
+    # vanishes and the family is not R-cyclic
+    table = {}
+    for g in range(1, 5):
+        table[(g,)] = table[(g, g)] = 1
+    return MatrixFamily.from_generator_entries(2, 1, CumulantModel.of(4, order, table))
+
+
+def test_generic_cumulant_at_the_argument_cap():
+    x = family_matrix(mean_one_family())
+    kb = bvalued_cumulant_entrywise([x] * 8)
+    assert opvalued_cumulant_generic([x] * 8, "B") == kb
+    assert opvalued_cumulant_generic([x] * 6, "D") == recursive_opvalued_cumulant([x] * 6, "D")
+    # cumulants of two or more arguments vanish on the algebra's constants,
+    # so shifted entries, which the table cannot answer, give the same values
+    def shifted(rows):
+        return x.add(OperatorMatrix.from_scalar(x.model, ScalarMatrix.of(rows)))
+
+    assert opvalued_cumulant_generic([shifted([[1, 2], [3, 4]])] * 8, "B") == kb
+    kd = opvalued_cumulant_generic([x] * 8, "D")
+    assert opvalued_cumulant_generic([shifted([[1, 0], [0, 4]])] * 8, "D") == kd
+
+
+def test_generic_cumulant_past_the_model_order():
+    # the state still raises when a chain's product outgrows the model,
+    # whether the entries are generators or polynomials
+    x = family_matrix(mixed_2x2(4))
+    for args, length in (([x] * 5, 5), ([x.mul(x)] * 3, 6)):
+        for algebra in ("B", "D"):
+            with pytest.raises(ValueError, match=f"word of length {length} exceeds model order 4"):
+                opvalued_cumulant_generic(args, algebra)
+
+
+def seeded_table_matrices(seed, d, s, order):
+    # generator entries over a seeded table with every first moment and a
+    # few arbitrary words per length, so open chains of every length count
+    rng = random.Random(seed)
+    g = s * d * d
+    table = {(a,): rng.choice(VALUES) for a in range(1, g + 1)}
+    for n in range(2, order + 1):
+        for _ in range(6):
+            table[tuple(rng.randint(1, g) for _ in range(n))] = rng.choice(VALUES)
+    fam = MatrixFamily.from_generator_entries(d, s, CumulantModel.of(g, order, table))
+    return [family_matrix(fam, r) for r in range(1, s + 1)]
+
+
+@pytest.mark.parametrize("d,s,order", [(2, 2, 4), (3, 1, 3)])
+def test_dcumulant_data_matches_recursion_off_rcyclic_tables(d, s, order):
+    for seed in range(2):
+        mats = seeded_table_matrices(seed, d, s, order)
+        data = dcumulant_data(mats, order)
+        assert data == recursive_dcumulant_data(mats, order)
+        # the coordinates are not the closed chains' scalar cumulants, so
+        # the vanishing open segments carry weight
+        table = mats[0].model.table
+        plain = {}
+        for n in range(1, order + 1):
+            for rword in itertools.product(range(1, s + 1), repeat=n):
+                for iword in itertools.product(range(1, d + 1), repeat=n):
+                    path = iword[-1:] + iword
+                    word = tuple(entry_letter(r, path[t], path[t + 1], d) for t, r in enumerate(rword))
+                    if word in table:
+                        plain[(rword, iword)] = table[word]
+        assert data != plain
 
 
 def test_pi_cumulant_extraction_side_invariance():

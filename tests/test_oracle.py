@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncfree import oracle
 from ncfree.freeprob import CumulantModel, NcPolynomial, moment_series
 from ncfree.ncpartition import Partition, enumerate_nc, kreweras
 from ncfree.oracle import (
@@ -46,6 +47,21 @@ def test_kreweras_by_search_matches_fast():
 def test_kreweras_by_search_worked_example():
     p = Partition.of(5, [[1, 2, 5], [3, 4]])
     assert str(kreweras_by_search(p)) == "{1}{2,4}{3}{5}"
+
+
+def test_kreweras_by_search_rejects_two_complements(monkeypatch):
+    # a search that meets the complement twice raises rather than asserting
+    p = Partition.of(3, [[1, 3], [2]])
+    doubled = (kreweras(p),) * 2
+    monkeypatch.setattr(oracle, "_nc_filtered", lambda n: doubled)
+    with pytest.raises(RuntimeError, match="complement not unique"):
+        kreweras_by_search(p)
+
+
+def test_nc_by_filter_returns_a_fresh_list():
+    first = nc_by_filter(4)
+    first.clear()
+    assert len(nc_by_filter(4)) == CATALAN[4]
 
 
 def test_inversion_recovers_semicircular_cumulants():
