@@ -167,21 +167,6 @@ def product_sum(pairs: Iterable[tuple[NcPolynomial, NcPolynomial]]) -> NcPolynom
     return NcPolynomial.of(out)
 
 
-def single_generator_form(p: NcPolynomial) -> tuple[Fraction, int] | None:
-    """Parse a polynomial that is zero or a scalar multiple of one generator.
-
-    Returns None for the zero polynomial, (coefficient, letter) otherwise;
-    raises for anything richer.
-    """
-    if not p.items:
-        return None
-    if len(p.items) == 1:
-        (w, c), = p.items
-        if len(w) == 1:
-            return c, w[0]
-    raise ValueError(f"entry is not a scalar multiple of a single generator: {p.items}")
-
-
 def integer_terms(
     polys: Sequence[NcPolynomial],
 ) -> tuple[int, list[tuple[tuple[Word, int], ...]]]:

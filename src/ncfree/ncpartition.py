@@ -1,4 +1,4 @@
-"""Non-crossing set partitions of {1, ..., n} and their permutation encoding.
+"""Non-crossing set partitions of {1, ..., n} and their Kreweras complements.
 
 A partition is kept in canonical form: every block is an increasing tuple and
 blocks are ordered by their least element.  A partition is non-crossing when
@@ -12,8 +12,9 @@ right of perm(pi) gives the forward cycle gamma: 1 -> 2 -> ... -> n -> 1.
 
 NC(n) and its complements live only here, on 0-based block tuples: `nc_pairs`
 builds NC(n) by stack insertion and pairs each pi with the cycles of
-perm(pi)^-1 o gamma, read off an integer array by `_complement`.  pi is
-non-crossing iff |pi| + |perm(pi)^-1 o gamma| = n + 1 in cycle counts (Biane).
+perm(pi)^-1 o gamma, read off an integer array of predecessors by
+`_complement`.  pi is non-crossing iff |pi| + |perm(pi)^-1 o gamma| = n + 1
+in cycle counts (Biane).
 """
 
 from __future__ import annotations
@@ -75,58 +76,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "".join("{" + ",".join(str(e) for e in b) + "}" for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class PartitionPermutation:
-    """A permutation of {1, ..., n}, stored as the tuple of images of 1..n."""
-
-    n: int
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != self.n or set(self.images) != set(range(1, self.n + 1)):
-            raise ValueError(f"not a permutation of 1..{self.n}: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "PartitionPermutation":
-        return cls(n, tuple(range(1, n + 1)))
-
-    @classmethod
-    def forward_cycle(cls, n: int) -> "PartitionPermutation":
-        """The cycle 1 -> 2 -> ... -> n -> 1."""
-        return cls(n, tuple(range(2, n + 1)) + (1,))
-
-    def __call__(self, k: int) -> int:
-        return self.images[k - 1]
-
-    def compose(self, other: "PartitionPermutation") -> "PartitionPermutation":
-        """self after other: k -> self(other(k))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return PartitionPermutation(self.n, tuple(self.images[i - 1] for i in other.images))
-
-    def inverse(self) -> "PartitionPermutation":
-        inv = [0] * self.n
-        for k, img in enumerate(self.images, start=1):
-            inv[img - 1] = k
-        return PartitionPermutation(self.n, tuple(inv))
-
-    def cycle_partition(self) -> Partition:
-        """The partition of 1..n into the orbits of this permutation."""
-        todo = set(range(1, self.n + 1))
-        blocks = []
-        while todo:
-            start = min(todo)
-            orbit = [start]
-            todo.remove(start)
-            k = self(start)
-            while k != start:
-                orbit.append(k)
-                todo.remove(k)
-                k = self(k)
-            blocks.append(orbit)
-        return Partition.of(self.n, blocks)
 
 
 def _zero_based(p: Partition) -> Blocks:
@@ -192,17 +141,6 @@ def nc_pairs(n: int) -> tuple[tuple[Blocks, Blocks], ...]:
 def enumerate_nc(n: int) -> tuple[Partition, ...]:
     """All non-crossing partitions of {1..n}, lexicographic on canonical form."""
     return tuple(_one_based(n, blocks) for blocks, _ in nc_pairs(n))
-
-
-def perm_of(p: Partition) -> PartitionPermutation:
-    """The permutation whose cycles are the blocks of p, each traversed upward."""
-    if not is_noncrossing(p):
-        raise ValueError(f"partition is crossing: {p}")
-    images = [0] * p.n
-    for block in p.blocks:
-        for t, e in enumerate(block):
-            images[e - 1] = block[(t + 1) % len(block)]
-    return PartitionPermutation(p.n, tuple(images))
 
 
 def kreweras(p: Partition) -> Partition:

@@ -24,13 +24,14 @@ runs otherwise, and it alone produces witnesses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .freeprob import CumulantModel, NcPolynomial, phi_poly, product_sum
 from .ncpartition import DEFAULT_MAX_GROUND_SET
-from .rcyclic import _chain_letters, _entries, _is_cyclic, _nonzero_chains, _parsed_grids, _scan
+from .rcyclic import _entries, _is_cyclic, _nonzero_chains, _scan
 
 Word = tuple[int, ...]
 
@@ -216,20 +217,6 @@ class OperatorMatrix:
             ),
         )
 
-    def mul_scalar_left(self, sm: ScalarMatrix) -> "OperatorMatrix":
-        d = self.d
-        return OperatorMatrix(
-            self.model,
-            d,
-            tuple(
-                tuple(
-                    _scaled_sum((self.rows[k][b], sm.rows[a][k]) for k in range(d))
-                    for b in range(d)
-                )
-                for a in range(d)
-            ),
-        )
-
     def add(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(
             self.model,
@@ -321,8 +308,8 @@ def _argument_chains(mats: Sequence[OperatorMatrix]):
     # the distinct matrices
     distinct = _distinct(mats)
     rword = tuple(distinct.index(m) + 1 for m in mats)
-    parsed = _parsed_grids(m.rows for m in distinct)
-    for rw, pairs, val in _nonzero_chains(parsed, mats[0].model, len(mats)):
+    ents = _entries(mats[0].model, [m.rows for m in distinct]).single_generators()
+    for rw, pairs, val in _nonzero_chains(ents, len(mats)):
         if rw == rword and _linked(pairs):
             yield pairs, val
 
@@ -344,9 +331,9 @@ def check_chain_hypothesis(
     (length, r-word, index word, j) order.
     """
     mats = _nonempty(mats)
-    parsed = _parsed_grids(m.rows for m in _distinct(mats))
+    ents = _entries(mats[0].model, [m.rows for m in _distinct(mats)]).single_generators()
     best = None
-    for rword, pairs, _ in _nonzero_chains(parsed, mats[0].model, order):
+    for rword, pairs, _ in _nonzero_chains(ents, order):
         if pairs[0][0] == pairs[-1][1] or not _linked(pairs):
             continue
         key = (len(rword), rword, tuple(j for _, j in pairs), pairs[0][0])
@@ -397,21 +384,16 @@ def odot(mats: Sequence[OperatorMatrix]):
     mats = _nonempty(mats)
     n = len(mats)
     d = mats[0].d
-    parsed = _parsed_grids(m.rows for m in mats)
-    grid = []
-    for i in range(1, d + 1):
-        row = []
-        for j in range(1, d + 1):
-            cell: dict[Word, Fraction] = {}
-            for inner in itertools.product(range(1, d + 1), repeat=n - 1):
-                chain = (i,) + inner + (j,)
-                hit = _chain_letters(parsed, [(chain[t], chain[t + 1]) for t in range(n)])
-                if hit is not None:
-                    c, w = hit
-                    cell[w] = cell.get(w, _ZERO) + c
-            row.append(cell)
-        grid.append(tuple(row))
-    return tuple(grid)
+    ents = _entries(mats[0].model, [m.rows for m in mats]).single_generators()
+    scale = ents.dens[0] ** n
+    rword = tuple(range(1, n + 1))
+    grid: list[list[dict[Word, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
+    for path in itertools.product(range(1, d + 1), repeat=n + 1):
+        coeffs, w = zip(*(ents.forms[t] for t in _chain(d, rword, path)))
+        if all(coeffs):
+            cell = grid[path[0] - 1][path[-1] - 1]
+            cell[w] = cell.get(w, _ZERO) + Fraction(math.prod(coeffs), scale)
+    return tuple(map(tuple, grid))
 
 
 def ktilde(model: CumulantModel, grid, algebra: str):
@@ -470,13 +452,10 @@ def _inner_monomials(gens: Sequence[OperatorMatrix], budget: int):
 
 
 def _cyclic_up_to(gens: Sequence[OperatorMatrix], budget: int) -> bool:
-    # entries parse as generators and no non-cyclic chain of length at most
-    # budget has a nonzero cumulant
-    try:
-        parsed = _parsed_grids(g.rows for g in gens)
-    except ValueError:
-        return False
-    return _scan(parsed, gens[0].model, budget)[1] is None
+    # every entry is zero or a scaled single generator and no non-cyclic
+    # chain of length at most budget has a nonzero cumulant
+    ents = _entries(gens[0].model, [g.rows for g in gens])
+    return None not in ents.forms and _scan(ents, budget)[1] is None
 
 
 def check_amalgamated_freeness(

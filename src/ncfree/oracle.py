@@ -145,7 +145,7 @@ def brute_force_family_moments(fam, order: int):
     average the state over the diagonal entries (the normalized trace of the
     entrywise expectation).
     """
-    from .freeprob import NcPolynomial, phi_poly
+    from .freeprob import phi_poly, product_sum
     from .series import Series
 
     d, s, model = fam.d, fam.s, fam.model
@@ -153,10 +153,7 @@ def brute_force_family_moments(fam, order: int):
 
     def grid_mul(a, b):
         return tuple(
-            tuple(
-                sum((a[i][k] * b[k][j] for k in range(d)), NcPolynomial.zero())
-                for j in range(d)
-            )
+            tuple(product_sum((a[i][k], b[k][j]) for k in range(d)) for j in range(d))
             for i in range(d)
         )
 

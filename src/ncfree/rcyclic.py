@@ -13,11 +13,14 @@ determining series.  Convolving that series against the constant-word series
 (and averaging over the diagonal substitution) yields the scalar moments of
 the family; convolving against its companion yields the R-transform.
 
-Recognition and table extraction read the entries as scalar multiples of
-single generators, so a chain's cumulant is its coefficient times the model's
-cumulant of the chain's generator word; the model stores every nonzero
-cumulant in its table, so one walk over the table words finds every chain
-that survives, cyclic or not.
+Entries are classified in one place, `_entries`: each is zero, a scalar
+multiple c x_letter of a single generator, or something richer.  Recognition
+and table extraction need the first two kinds, and raise ValueError naming
+the first entry of the third.  A chain of such entries has cumulant prod(c)
+times the model's cumulant of the chain's generator word; the model stores
+every nonzero cumulant in its table, so one walk over the table words finds
+every chain that survives, cyclic or not.  `closure_check` takes entries of
+every kind, and inverts moments where the table cannot be read.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .freeprob import (
     _product_state,
     _scaled_cumulant,
     integer_terms,
-    single_generator_form,
 )
 from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .series import (
@@ -50,7 +52,6 @@ Word = tuple[int, ...]
 TableKey = tuple[Word, Word]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def entry_letter(r: int, i: int, j: int, d: int) -> int:
@@ -145,49 +146,30 @@ class RCyclicFamily:
         return dict(self.items)
 
 
-def _parsed_grids(grids):
-    # (coefficient, letter) or None per entry; raises on non-generator entries
-    return tuple(
-        tuple(tuple(single_generator_form(p) for p in row) for row in grid) for grid in grids
-    )
-
-
-def _chain_letters(
-    parsed_chain, pairs: Sequence[tuple[int, int]]
-) -> tuple[Fraction, Word] | None:
-    """Coefficient and generator word of the entry chain, None if an entry is zero."""
-    coeff = _ONE
-    letters = []
-    for grid, (i, j) in zip(parsed_chain, pairs):
-        ent = grid[i - 1][j - 1]
-        if ent is None:
-            return None
-        coeff *= ent[0]
-        letters.append(ent[1])
-    return coeff, tuple(letters)
-
-
-def _nonzero_chains(parsed, model: CumulantModel, n_max: int):
+def _nonzero_chains(ents: _Entries, n_max: int):
     """Yield (matrix word, ((i_1, j_1), ...), value) for every entry chain of
     length at most n_max with a nonzero cumulant, walking the model's table
-    once, in table order."""
-    holders: dict[int, list[tuple[int, int, int, Fraction]]] = {}
-    for r, grid in enumerate(parsed, start=1):
-        for i, row in enumerate(grid, start=1):
-            for j, ent in enumerate(row, start=1):
-                if ent is not None:
-                    holders.setdefault(ent[1], []).append((r, i, j, ent[0]))
-    for word, val in model.items:
-        if len(word) > n_max:
+    once, in table order.  Every entry must be zero or a scaled single
+    generator: a chain c_1 x_(w_1), ..., c_n x_(w_n) has cumulant
+    prod(c_t) * t(w), made from the forms (c_t * P, w_t) and the numerator
+    t(w) * L as one Fraction(prod(c_t * P) * t(w) * L, P^n * L)."""
+    holders: dict[int, list[tuple[int, int, int, int]]] = {}
+    for tag, (c, letter) in zip(ents.tags, ents.forms):
+        if c:
+            holders.setdefault(letter, []).append((*tag, c))
+    p_den, l_den = ents.dens
+    for word, num in ents.model.numerators[1].items():
+        n = len(word)
+        if n > n_max:
             break
         for chain in itertools.product(*(holders.get(letter, ()) for letter in word)):
-            coeff = _ONE
+            coeff = num
             for ent in chain:
                 coeff *= ent[3]
             yield (
                 tuple(ent[0] for ent in chain),
                 tuple((ent[1], ent[2]) for ent in chain),
-                coeff * val,
+                Fraction(coeff, p_den**n * l_den),
             )
 
 
@@ -198,14 +180,14 @@ def _is_cyclic(pairs: Sequence[tuple[int, int]]) -> bool:
     return all(pairs[t][1] == pairs[(t + 1) % n][0] for t in range(n))
 
 
-def _scan(parsed, model: CumulantModel, n_max: int):
+def _scan(ents: _Entries, n_max: int):
     # Returns (cyclic table, first non-cyclic chain or None) over the chains
     # of length at most n_max; the witness is the least by (length, matrix
     # word, index pattern), the order in which a scan of every pattern would
     # meet it.
     table: dict[TableKey, Fraction] = {}
     best = None
-    for rword, pairs, val in _nonzero_chains(parsed, model, n_max):
+    for rword, pairs, val in _nonzero_chains(ents, n_max):
         if _is_cyclic(pairs):
             table[(rword, tuple(j for _, j in pairs))] = val
         elif best is None or (len(rword), rword, pairs) < best:
@@ -232,14 +214,14 @@ def is_rcyclic(
     above the model order raises ValueError.
     """
     n_max = _family_order(fam, order)
-    witness = _scan(_parsed_grids(fam.grids), fam.model, n_max)[1]
+    witness = _scan(_entries(fam.model, fam.grids).single_generators(), n_max)[1]
     return witness is None, witness
 
 
 def cyclic_family(fam: MatrixFamily, order: int | None = None) -> RCyclicFamily:
     """Read the cyclic table off a family after confirming it is R-cyclic."""
     n_max = _family_order(fam, order)
-    table, witness = _scan(_parsed_grids(fam.grids), fam.model, n_max)
+    table, witness = _scan(_entries(fam.model, fam.grids).single_generators(), n_max)
     if witness is not None:
         raise ValueError(f"family is not R-cyclic; witness {witness}")
     return RCyclicFamily.of(fam.d, fam.s, n_max, table)
@@ -317,16 +299,30 @@ def _degree_bounded(
 
 class _Entries(NamedTuple):
     """The entries of some d x d polynomial grids, numbered grid by grid in
-    row-major order: (grid, row, column) tags from 1, degrees, integer term
-    lists over P and the lcms (P, L), with the moment() and table_value()
+    row-major order, and the one place an entry is classified.
+
+    Per entry: the polynomial, its (grid, row, column) tag from 1, its
+    degree, its integer term list over P, and its form: (c * P, letter) for
+    an entry c x_letter, (0, 0) for a zero entry, None for anything else.
+    Also the model, the lcms (P, L), and the moment() and table_value()
     callbacks of the first-block inversion on the scale of closure_check."""
 
+    model: CumulantModel
+    polys: list[NcPolynomial]
     tags: list[tuple[int, int, int]]
     degs: list[int]
     terms: list[tuple[tuple[Word, int], ...]]
+    forms: list[tuple[int, int] | None]
     dens: tuple[int, int]
     moment: Callable[[tuple[int, ...]], int]
     table_value: Callable[[tuple[int, ...]], int | None]
+
+    def single_generators(self) -> "_Entries":
+        """These entries, once each is checked to be zero or a scaled single generator."""
+        if None in self.forms:
+            p = self.polys[self.forms.index(None)]
+            raise ValueError(f"entry is not a scalar multiple of a single generator: {p.items}")
+        return self
 
     def closed_moment(self, idx: tuple[int, ...]) -> int:
         """moment() if the tuple is empty or its first row is its last column, else 0."""
@@ -342,14 +338,12 @@ class _Entries(NamedTuple):
 
 
 def _entries(model: CumulantModel, grids: Sequence[Sequence[Sequence[NcPolynomial]]]) -> _Entries:
-    elems = [e for grid in grids for row in grid for e in row]
+    polys = [p for grid in grids for row in grid for p in row]
     d = len(grids[0])
-    tags = [(t // (d * d) + 1, t // d % d + 1, t % d + 1) for t in range(len(elems))]
-    degs = [e.degree() for e in elems]
-    p_den, terms = integer_terms(elems)
+    tags = [(t // (d * d) + 1, t // d % d + 1, t % d + 1) for t in range(len(polys))]
+    degs = [p.degree() for p in polys]
+    p_den, terms = integer_terms(polys)
     l_den, numerators = model.numerators
-    # (c * P, letter) for an entry c x_letter, (0, 0) for a zero entry, None
-    # for anything else
     forms = [
         (ts[0][1], ts[0][0][0]) if len(ts) == 1 and len(ts[0][0]) == 1
         else None if ts else (0, 0)
@@ -376,7 +370,7 @@ def _entries(model: CumulantModel, grids: Sequence[Sequence[Sequence[NcPolynomia
         # scaled by P^n L^D, D the total degree of the entries
         return _product_state(model, [terms[t] for t in idx], sum(degs[t] for t in idx))
 
-    return _Entries(tags, degs, terms, (p_den, l_den), moment, table_value)
+    return _Entries(model, polys, tags, degs, terms, forms, (p_den, l_den), moment, table_value)
 
 
 def closure_check(

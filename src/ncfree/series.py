@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .ncpartition import DEFAULT_MAX_GROUND_SET, Partition, nc_pairs
+from .ncpartition import DEFAULT_MAX_GROUND_SET, nc_pairs
 
 Word = tuple[int, ...]
 
@@ -112,20 +112,6 @@ def coef(f: Series, w: Iterable[int]) -> Fraction:
     if not 1 <= len(word) <= f.order:
         raise ValueError(f"word length must be in 1..{f.order}, got {len(word)}")
     return f.coeffs.get(word, _ZERO)
-
-
-def gen_coef(f: Series, w: Iterable[int], p: Partition) -> Fraction:
-    """Product of coefficients of f over the restrictions of w to the blocks of p."""
-    word = tuple(w)
-    if p.n != len(word):
-        raise ValueError(f"partition of {p.n} applied to word of length {len(word)}")
-    out = _ONE
-    for block in p.blocks:
-        c = f.coeffs.get(tuple(word[e - 1] for e in block))
-        if not c:
-            return _ZERO
-        out *= c
-    return out
 
 
 def _within_cap(order: int) -> None:

@@ -2,18 +2,19 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
-from ncfree.freeprob import CumulantModel, NcPolynomial, phi_poly, single_generator_form
-from ncfree.ncpartition import Partition, PartitionPermutation, enumerate_nc, kreweras, perm_of
-from ncfree.opvalued import OperatorMatrix, ScalarMatrix, expect_b, expect_d
+from ncfree.freeprob import CumulantModel, NcPolynomial, phi_poly
+from ncfree.ncpartition import Partition, enumerate_nc, is_noncrossing, kreweras
+from ncfree.opvalued import OperatorMatrix, ScalarMatrix, _scaled_sum, expect_b, expect_d
 from ncfree.oracle import nc_by_filter
 from ncfree.rcyclic import MatrixFamily, RCyclicFamily, entry_letter
-from ncfree.series import Series, gen_coef
+from ncfree.series import Series
 
 Word = tuple[int, ...]
 TableKey = tuple[Word, Word]
@@ -267,7 +268,7 @@ def opvalued_cumulant_pi(
     if a >= 2:
         new_xs = xs[: a - 2] + [xs[a - 2].mul_scalar_right(inner)] + xs[b:]
     else:
-        new_xs = [xs[b].mul_scalar_left(inner)] + xs[b + 1 :]
+        new_xs = [mul_scalar_left(xs[b], inner)] + xs[b + 1 :]
     return opvalued_cumulant_pi(reduced, new_xs, algebra, extract)
 
 
@@ -325,6 +326,105 @@ def dense_dvalued_cumulant(
     return ScalarMatrix.diagonal(diag)
 
 
+# -- permutations, generalized coefficients, the left scalar action -----------
+# The library reads Kreweras complements off integer arrays, convolves on
+# integer numerators and multiplies by scalars only on the right; these are
+# the plain definitions, kept as references.
+
+
+@dataclass(frozen=True)
+class PartitionPermutation:
+    """A permutation of {1, ..., n}, stored as the tuple of images of 1..n."""
+
+    n: int
+    images: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.images) != self.n or set(self.images) != set(range(1, self.n + 1)):
+            raise ValueError(f"not a permutation of 1..{self.n}: {self.images}")
+
+    @classmethod
+    def identity(cls, n: int) -> "PartitionPermutation":
+        return cls(n, tuple(range(1, n + 1)))
+
+    @classmethod
+    def forward_cycle(cls, n: int) -> "PartitionPermutation":
+        """The cycle 1 -> 2 -> ... -> n -> 1."""
+        return cls(n, tuple(range(2, n + 1)) + (1,))
+
+    def __call__(self, k: int) -> int:
+        return self.images[k - 1]
+
+    def compose(self, other: "PartitionPermutation") -> "PartitionPermutation":
+        """self after other: k -> self(other(k))."""
+        if self.n != other.n:
+            raise ValueError("size mismatch")
+        return PartitionPermutation(self.n, tuple(self.images[i - 1] for i in other.images))
+
+    def inverse(self) -> "PartitionPermutation":
+        inv = [0] * self.n
+        for k, img in enumerate(self.images, start=1):
+            inv[img - 1] = k
+        return PartitionPermutation(self.n, tuple(inv))
+
+    def cycle_partition(self) -> Partition:
+        """The partition of 1..n into the orbits of this permutation."""
+        todo = set(range(1, self.n + 1))
+        blocks = []
+        while todo:
+            start = min(todo)
+            orbit = [start]
+            todo.remove(start)
+            k = self(start)
+            while k != start:
+                orbit.append(k)
+                todo.remove(k)
+                k = self(k)
+            blocks.append(orbit)
+        return Partition.of(self.n, blocks)
+
+
+def perm_of(p: Partition) -> PartitionPermutation:
+    """The permutation whose cycles are the blocks of p, each traversed upward."""
+    if not is_noncrossing(p):
+        raise ValueError(f"partition is crossing: {p}")
+    images = [0] * p.n
+    for block in p.blocks:
+        for t, e in enumerate(block):
+            images[e - 1] = block[(t + 1) % len(block)]
+    return PartitionPermutation(p.n, tuple(images))
+
+
+def gen_coef(f: Series, w: Iterable[int], p: Partition) -> Fraction:
+    """Product of coefficients of f over the restrictions of w to the blocks of p."""
+    word = tuple(w)
+    if p.n != len(word):
+        raise ValueError(f"partition of {p.n} applied to word of length {len(word)}")
+    out = _ONE
+    for block in p.blocks:
+        c = f.coeffs.get(tuple(word[e - 1] for e in block))
+        if not c:
+            return _ZERO
+        out *= c
+    return out
+
+
+def mul_scalar_left(x: OperatorMatrix, sm: ScalarMatrix) -> OperatorMatrix:
+    """sm times x, each cell normalised once."""
+    d = x.d
+    return OperatorMatrix(
+        x.model,
+        d,
+        tuple(
+            tuple(
+                _scaled_sum((x.rows[k][b], sm.rows[a][k]) for k in range(d))
+                for b in range(d)
+            )
+            for a in range(d)
+        ),
+    )
+
+
 # -- recursive NC(n) pipeline -------------------------------------------------
 # The library generates NC(n) by stack insertion and reads complements off
 # integer arrays; this is the recursive first-block enumeration with a sort
@@ -379,10 +479,20 @@ def recursive_nc_pairs(n: int):
 # all s^n d^(2n) patterns, exactly as the library once did.
 
 
+def _generator_form(p: NcPolynomial) -> tuple[Fraction, int] | None:
+    # (coefficient, letter) of a scaled single generator, None for zero;
+    # unpacking raises ValueError on anything richer
+    if not p.items:
+        return None
+    [(word, c)] = p.items
+    [letter] = word
+    return c, letter
+
+
 def _parsed_entries(fam: MatrixFamily):
     # (coefficient, letter) or None per entry; raises on non-generator entries
     return tuple(
-        tuple(tuple(single_generator_form(fam.entry(r, i, j)) for j in range(1, fam.d + 1))
+        tuple(tuple(_generator_form(fam.entry(r, i, j)) for j in range(1, fam.d + 1))
               for i in range(1, fam.d + 1))
         for r in range(1, fam.s + 1)
     )
@@ -460,7 +570,7 @@ def cyclic_chain_words(fam: MatrixFamily) -> list[Word]:
 
 def _parsed_matrices(mats: Sequence[OperatorMatrix]):
     return [
-        tuple(tuple(single_generator_form(m.rows[i][j]) for j in range(m.d)) for i in range(m.d))
+        tuple(tuple(_generator_form(m.rows[i][j]) for j in range(m.d)) for i in range(m.d))
         for m in mats
     ]
 

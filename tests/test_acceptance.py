@@ -13,13 +13,7 @@ from fractions import Fraction
 
 from ncfree.freeprob import NcPolynomial, check_free, product_cumulant
 from ncfree.mc import McConfig, compare, exact_family_moments, sample_block_moments
-from ncfree.ncpartition import (
-    Partition,
-    PartitionPermutation,
-    enumerate_nc,
-    kreweras,
-    perm_of,
-)
+from ncfree.ncpartition import Partition, enumerate_nc, kreweras
 from ncfree.opvalued import (
     OperatorMatrix,
     ScalarMatrix,
@@ -50,7 +44,6 @@ from ncfree.series import (
     delta,
     dilate,
     ext_boxed_convolve,
-    gen_coef,
     geometric,
     h_series,
     moebius,
@@ -59,6 +52,7 @@ from ncfree.series import (
     zeta,
 )
 from helpers import (
+    PartitionPermutation,
     bvalued_cumulant_pi,
     circular_2x2,
     constant_table_family,
@@ -66,9 +60,11 @@ from helpers import (
     diagonal_free_2x2,
     first_moment_family,
     detached_diagonal_family,
+    gen_coef,
     mixed_2x2,
     model_from_cyclic_table,
     opvalued_cumulant_pi,
+    perm_of,
     random_cyclic_table,
     random_model,
     random_series,

@@ -15,7 +15,6 @@ from ncfree.freeprob import (
     phi_word,
     product_cumulant,
     r_transform,
-    single_generator_form,
 )
 from ncfree.ncpartition import DEFAULT_MAX_GROUND_SET, nc_pairs
 from ncfree.series import Series, boxed_convolve, coef, moebius, zeta
@@ -59,15 +58,6 @@ def test_polynomial_arithmetic():
     assert (p * NcPolynomial.unit()) == p
     assert (p * NcPolynomial.zero()).is_zero()
     assert p.scale(Fraction(1, 2)).terms[(1, 2)] == 1
-
-
-def test_single_generator_form():
-    assert single_generator_form(NcPolynomial.zero()) is None
-    assert single_generator_form(NcPolynomial.generator(3).scale(2)) == (2, 3)
-    with pytest.raises(ValueError):
-        single_generator_form(NcPolynomial.unit())
-    with pytest.raises(ValueError):
-        single_generator_form(NcPolynomial.generator(1) * NcPolynomial.generator(1))
 
 
 def test_semicircular_moments():

@@ -2,16 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncfree import oracle
-from ncfree.ncpartition import (
-    Partition,
-    PartitionPermutation,
-    enumerate_nc,
-    is_noncrossing,
-    kreweras,
-    nc_pairs,
-    perm_of,
-)
-from helpers import recursive_nc_pairs
+from ncfree.ncpartition import Partition, enumerate_nc, is_noncrossing, kreweras, nc_pairs
+from helpers import PartitionPermutation, perm_of, recursive_nc_pairs
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 

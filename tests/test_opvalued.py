@@ -32,6 +32,7 @@ from ncfree.rcyclic import (
     determining_series,
     entry_letter,
     family_moments,
+    is_rcyclic,
 )
 from ncfree.series import coef
 from helpers import (
@@ -49,6 +50,7 @@ from helpers import (
     dense_dvalued_cumulant,
     mixed_values,
     model_from_cyclic_table,
+    mul_scalar_left,
     operator_words,
     opvalued_cumulant_pi,
     recursive_opvalued_cumulant,
@@ -91,7 +93,7 @@ def test_operator_matrix_bimodule():
     lam = ScalarMatrix.diagonal([2, 3])
     mu = ScalarMatrix.unit(2, 1, 2)
     assert x.mul_scalar_right(lam).mul_scalar_right(mu) == x.mul_scalar_right(lam * mu)
-    assert x.mul_scalar_left(lam).mul_scalar_left(mu) == x.mul_scalar_left(mu * lam)
+    assert mul_scalar_left(mul_scalar_left(x, lam), mu) == mul_scalar_left(x, mu * lam)
     assert x.mul_scalar_right(ScalarMatrix.identity(2)) == x
     assert x.sub(x).is_zero()
     assert x.add(x).entry(1, 2) == x.entry(1, 2).scale(2)
@@ -110,7 +112,7 @@ def test_matrix_products_match_cellwise(data, d):
     sm = ScalarMatrix.of([[data.draw(scalar) for _ in range(d)] for _ in range(d)])
     assert x.mul(y) == cellwise_mul(x, y)
     assert x.mul_scalar_right(sm) == cellwise_mul_scalar_right(x, sm)
-    assert x.mul_scalar_left(sm) == cellwise_mul_scalar_left(x, sm)
+    assert mul_scalar_left(x, sm) == cellwise_mul_scalar_left(x, sm)
 
 
 def test_expectations():
@@ -527,6 +529,44 @@ def test_amalgamated_freeness_rejects_mixed_generators():
             for mats in ([x, other], [other, x]):
                 with pytest.raises(ValueError, match="one model and one size"):
                     call(mats)
+
+
+def _family_of(mats):
+    return MatrixFamily.of(mats[0].d, len(mats), mats[0].model, [m.rows for m in mats])
+
+
+# every entry point, here or in rcyclic, that reads entries as zero or a
+# scaled single generator and refuses anything richer
+GENERATOR_ONLY_ENTRY_POINTS = (
+    lambda mats: is_rcyclic(_family_of(mats)),
+    lambda mats: cyclic_family(_family_of(mats)),
+    lambda mats: determining_series(_family_of(mats)),
+    lambda mats: check_chain_hypothesis(mats, 2),
+    lambda mats: dvalued_cumulant(mats),
+    lambda mats: bvalued_cumulant_entrywise(mats),
+    lambda mats: odot(mats),
+)
+
+
+def test_generator_only_entry_points_name_the_first_polynomial_entry(monkeypatch):
+    x1, x3, zero = NcPolynomial.generator(1), NcPolynomial.generator(3), NcPolynomial.zero()
+    model = CumulantModel.of(4, 4, {(1, 1): 1, (3, 3): Fraction(1, 2)})
+    x = OperatorMatrix.of(model, [[x1, zero], [x3.scale(2), x1]])
+    searched = []
+    monkeypatch.setattr(
+        opvalued, "_word_search", lambda gens, budget: searched.append(budget) or (False, "w")
+    )
+    for bad in (NcPolynomial.unit(), x1 * NcPolynomial.generator(2), x1 + x3):
+        # a later polynomial entry must not be the one named
+        y = OperatorMatrix.of(model, [[x3.scale(Fraction(1, 3)), bad], [zero, x1 * x1]])
+        message = f"entry is not a scalar multiple of a single generator: {bad.items}"
+        for call in GENERATOR_ONLY_ENTRY_POINTS:
+            with pytest.raises(ValueError) as exc:
+                call([x, y])
+            assert str(exc.value) == message
+        # the freeness test cannot read such entries off the table, so it searches
+        assert check_amalgamated_freeness([x, y], 2) == (False, "w")
+    assert searched == [2, 2, 2]
 
 
 def test_amalgamated_freeness_budget_counts_matrix_factors():

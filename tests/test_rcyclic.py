@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ncfree import freeprob
 from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.rcyclic import (
+    _entries,
     MatrixFamily,
     PartialSumError,
     RCyclicFamily,
@@ -315,6 +316,26 @@ def test_closure_reads_generator_chains_off_the_table(monkeypatch):
         assert closure_check(fam, grid, 4) == fraction_closure_check(fam, grid, 4)
     assert closure_check(fam, schur, 4)[0] and not closure_check(fam, swapped, 4)[0]
     assert calls == []
+
+
+def test_entries_classify_zero_and_scaled_generators():
+    # forms are (c * P, letter) with P the entries' denominator lcm, (0, 0)
+    # for zero and None for the unit or a product of generators
+    x1, x3 = NcPolynomial.generator(1), NcPolynomial.generator(3)
+    zero, scaled = NcPolynomial.zero(), x3.scale(2)
+    model = CumulantModel.of(3, 2, {})
+    ents = _entries(model, [[[zero, scaled], [NcPolynomial.unit(), x1 * x1]]])
+    assert ents.forms == [(0, 0), (2, 3), None, None]
+    assert _entries(model, [[[x3.scale(Fraction(2, 3)), zero], [zero, x1]]]).forms == [
+        (2, 3), (0, 0), (0, 0), (3, 1)
+    ]
+    ok = _entries(model, [[[zero, scaled], [scaled, zero]]])
+    assert ok.single_generators() is ok
+    for bad in (NcPolynomial.unit(), x1 * x1):
+        message = f"entry is not a scalar multiple of a single generator: {bad.items}"
+        with pytest.raises(ValueError) as exc:
+            _entries(model, [[[zero, scaled], [bad, x1 * x1 + x1]]]).single_generators()
+        assert str(exc.value) == message
 
 
 def test_orders_past_the_model_order_raise():

@@ -18,7 +18,6 @@ from ncfree.series import (
     dilate,
     ext_boxed_convolve,
     format_rational,
-    gen_coef,
     geometric,
     h_series,
     moebius,
@@ -33,6 +32,7 @@ from ncfree.series import (
 )
 from helpers import (
     SLOW_MAX_ORDER,
+    gen_coef,
     random_invertible_series,
     random_series,
     rational_series,
