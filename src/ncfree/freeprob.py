@@ -21,6 +21,11 @@ time, each cumulant being its moment minus the terms of the blocks V that
 hold the first letter and are not the whole word (Nica-Speicher, Lectures on
 the Combinatorics of Free Probability, Lecture 11).  That inversion is the
 one `rcyclic.closure_check` runs on index tuples.
+
+The boxed inverse lives here too, because it may run through the cumulant
+series: the inverse of f is the R-transform of the inverse of f's
+R-transform, and the NC(n) inversion kernel of `series` runs on whichever of
+the two series stores fewer words.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from functools import cached_property
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .ncpartition import DEFAULT_MAX_GROUND_SET
-from .series import Series, _within_cap, over_lcm
+from .series import Series, _check_invertible, _kernel_inverse, _within_cap, over_lcm
 
 Word = tuple[int, ...]
 
@@ -383,6 +388,33 @@ def r_transform(m: Series) -> Series:
                 out[w] = Fraction(kappa, den**n)
         prefixes.update(w[:k] for w in found for k in range(1, n + 1))
     return Series.of(s, m.order, out)
+
+
+def boxed_inverse(f: Series) -> Series:
+    """Two-sided inverse for the boxed convolution.
+
+    Zeta is central for the boxed convolution: the Kreweras complement is a
+    bijection of NC(n), so (zeta [*] f)(w) and (f [*] zeta)(w) both sum f's
+    generalized coefficients over all of NC(n).  Hence Moebius, its inverse,
+    is central too, and with r = f [*] Moebius = r_transform(f),
+
+        f^-1 = (r [*] zeta)^-1 = r^-1 [*] Moebius = r_transform(r^-1)
+
+    (Nica-Speicher, Lectures on the Combinatorics of Free Probability, the
+    lectures on the boxed convolution).  The degree-by-degree NC(n) kernel
+    fills blocks from its operand's stored words, so it runs on r when r
+    stores fewer words than f, as the dense moment series of a sparse
+    cumulant model do, and on f otherwise; both give the same series.  r has
+    f's degree-1 coefficients, so the choice does not change invertibility.
+    Every degree-1 coefficient must be nonzero; an order above
+    DEFAULT_MAX_GROUND_SET raises ValueError, and both checks run before any
+    cumulant is computed.
+    """
+    _check_invertible(f)
+    r = r_transform(f)
+    if len(r.items) < len(f.items):
+        return r_transform(_kernel_inverse(r))
+    return _kernel_inverse(f)
 
 
 def m_from_r(r: Series) -> Series:

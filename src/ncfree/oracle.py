@@ -213,6 +213,7 @@ def _suite_series(order: int) -> list[OracleReport]:
     import math
 
     from . import series as ser
+    from .freeprob import boxed_inverse
 
     reports = []
     mob = ser.moebius(2, order)
@@ -220,7 +221,7 @@ def _suite_series(order: int) -> list[OracleReport]:
         want = Fraction((-1) ** (n + 1) * math.comb(2 * n - 2, n - 1), n)
         got = ser.coef(mob, (1,) * n)
         reports.append(OracleReport.compare("moebius-coef", f"n={n}", want, got))
-    inv = ser.boxed_inverse(ser.zeta(2, order))
+    inv = boxed_inverse(ser.zeta(2, order))
     reports.append(OracleReport.compare("moebius-inverse", f"s=2 N={order}", mob, inv))
     prod = ser.boxed_convolve(ser.zeta(2, order), mob)
     reports.append(

@@ -10,8 +10,11 @@ coefficient of f at (w, pi) times the generalized coefficient of g at
 (w, Kreweras complement of pi), where a generalized coefficient is the
 product of ordinary coefficients over the restrictions of w to the blocks.
 One kernel walks NC(n) at a single degree: the convolutions run it at every
-degree, and the boxed inverse runs it on f and its own lower degrees to solve
-degree n.  Orders above DEFAULT_MAX_GROUND_SET raise before any work.
+degree, and the inversion kernel runs it on a series and the inverse's own
+lower degrees to solve degree n.  The public boxed inverse lives in
+`freeprob`, which runs that kernel on the series or on its cumulant series,
+whichever stores fewer words.  Orders above DEFAULT_MAX_GROUND_SET raise
+before any work.
 
 The extended variant pairs a series over s*d letters (encoded pairs (r, i)
 with r outer: letter = (r-1)*d + i) with a series over d letters; the second
@@ -197,22 +200,25 @@ def ext_boxed_convolve(f: Series, g: Series) -> Series:
     return Series.of(f.alphabet, f.order, _convolve(f, g, proj))
 
 
-def boxed_inverse(f: Series) -> Series:
-    """Two-sided inverse for the boxed convolution, solved degree by degree.
-
-    The coefficient of the inverse at a word of length n appears only in the
-    all-singletons term of the convolution.  So degree n is the degree-n
-    convolution kernel run on f and the inverse found so far, which has no
-    word of length n, divided by the product of the degree-1 coefficients
-    and negated.  Requires every degree-1 coefficient to be nonzero; an order
-    above DEFAULT_MAX_GROUND_SET raises ValueError.
-    """
-    s, order = f.alphabet, f.order
-    _within_cap(order)
-    lf, fc = f.numerators.denominator, f.numerators.by_word
-    for r in range(1, s + 1):
-        if (r,) not in fc:
+def _check_invertible(f: Series) -> None:
+    # The two refusals of the boxed inverse, before any work: an order past
+    # the cap, then the first letter with no degree-1 coefficient.
+    _within_cap(f.order)
+    for r in range(1, f.alphabet + 1):
+        if (r,) not in f.coeffs:
             raise ValueError(f"degree-1 coefficient at letter {r} is zero; not invertible")
+
+
+def _kernel_inverse(f: Series) -> Series:
+    # Two-sided inverse for the boxed convolution, solved degree by degree.
+    # The coefficient of the inverse at a word of length n appears only in the
+    # all-singletons term of the convolution.  So degree n is the degree-n
+    # convolution kernel run on f and the inverse found so far, which has no
+    # word of length n, divided by the product of the degree-1 coefficients
+    # and negated.  The public entry point is `freeprob.boxed_inverse`.
+    _check_invertible(f)
+    s, order = f.alphabet, f.order
+    lf, fc = f.numerators.denominator, f.numerators.by_word
     inv: dict[Word, Fraction] = {(r,): Fraction(lf, fc[(r,)]) for r in range(1, s + 1)}
     for n in range(2, order + 1):
         m, ic = over_lcm(inv.items())

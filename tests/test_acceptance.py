@@ -205,14 +205,16 @@ def test_criterion_06_chain_cumulant_factorization(capsys):
             g = geometric(d, fam.order)
             for n in range(2, 6):
                 pairs_list = [(p, kreweras(p)) for p in enumerate_nc(n)]
-                for rword in itertools.product(range(1, s + 1), repeat=n):
-                    for iword in itertools.product(range(1, d + 1), repeat=n):
+                for iword in itertools.product(range(1, d + 1), repeat=n):
+                    # the complement's factor depends on iword alone
+                    g_coefs = [gen_coef(g, iword, kr) for _, kr in pairs_list]
+                    for rword in itertools.product(range(1, s + 1), repeat=n):
                         letters = tuple(
                             entry_letter(rword[t2], iword[t2 - 1], iword[t2], d)
                             for t2 in range(n)
                         )
                         pw = pair_word(rword, iword, d)
-                        for p, kr in pairs_list:
+                        for (p, _), g_coef in zip(pairs_list, g_coefs):
                             lhs = Fraction(1)
                             for block in p.blocks:
                                 lhs *= table.get(
@@ -220,7 +222,7 @@ def test_criterion_06_chain_cumulant_factorization(capsys):
                                 )
                                 if not lhs:
                                     break
-                            assert lhs == gen_coef(f, pw, p) * gen_coef(g, iword, kr)
+                            assert lhs == gen_coef(f, pw, p) * g_coef
 
 
 def test_criterion_07_explicit_family_rtransforms(capsys):

@@ -1,18 +1,26 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncfree import series
+from ncfree import freeprob, series
+from ncfree.freeprob import (
+    CumulantModel,
+    NcPolynomial,
+    boxed_inverse,
+    moment_series,
+    r_transform,
+)
 from ncfree.ncpartition import DEFAULT_MAX_GROUND_SET, Partition
 from ncfree.series import (
     Series,
+    _kernel_inverse,
     add,
     boxed_convolve,
-    boxed_inverse,
     coef,
     delta,
     dilate,
@@ -33,10 +41,12 @@ from ncfree.series import (
 from helpers import (
     SLOW_MAX_ORDER,
     gen_coef,
+    moment_elements,
     random_invertible_series,
     random_series,
     rational_series,
     slow_boxed_convolve,
+    sparse_models,
 )
 
 
@@ -127,9 +137,13 @@ def test_associativity_seeded():
 
 
 def test_boxed_inverse_of_special_series():
+    # both routes: Zeta's cumulant series is Delta, so the public inverse
+    # inverts Delta and takes its R-transform; Delta is its own cumulant series
     for s in (1, 2):
-        assert boxed_inverse(zeta(s, 5)) == moebius(s, 5)
-        assert boxed_inverse(delta(s, 5)) == delta(s, 5)
+        assert r_transform(zeta(s, 5)) == delta(s, 5)
+        for inverse in (boxed_inverse, _kernel_inverse):
+            assert inverse(zeta(s, 5)) == moebius(s, 5)
+            assert inverse(delta(s, 5)) == delta(s, 5)
 
 
 def test_boxed_inverse_roundtrip_seeded():
@@ -141,10 +155,14 @@ def test_boxed_inverse_roundtrip_seeded():
         assert boxed_convolve(inv, f) == delta(2, 4)
 
 
-def test_boxed_inverse_needs_nonzero_degree_one():
+def test_boxed_inverse_needs_nonzero_degree_one(monkeypatch):
+    # refused before any cumulant of the series is computed
+    calls = []
+    monkeypatch.setattr(freeprob, "_scaled_cumulant", lambda *a, **k: calls.append(a) or 0)
     f = Series.of(2, 3, {(1,): 1, (1, 2): 1})  # letter 2 missing at degree 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree-1 coefficient at letter 2 is zero"):
         boxed_inverse(f)
+    assert calls == []
 
 
 def test_orders_past_the_partition_cap_fail_before_any_work(monkeypatch):
@@ -153,6 +171,7 @@ def test_orders_past_the_partition_cap_fail_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(series, "nc_pairs", lambda n: calls.append(n) or ())
     monkeypatch.setattr(series, "moebius", lambda s, order: calls.append("moebius"))
+    monkeypatch.setattr(freeprob, "_scaled_cumulant", lambda *a, **k: calls.append("kappa") or 0)
     order = DEFAULT_MAX_GROUND_SET + 1
     f, g = zeta(1, order), delta(1, order)
     pair = Series.of(2, order, {(1,): 1, (2,): 1})
@@ -294,3 +313,70 @@ def test_boxed_inverse_is_two_sided_term_by_term(data, s):
     inv = boxed_inverse(f)
     assert slow_boxed_convolve(inv, f) == delta(s, order)
     assert slow_boxed_convolve(f, inv) == delta(s, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), s=st.integers(1, 3))
+def test_boxed_inverse_routes_agree_on_rational_series(data, s):
+    # the public inverse against the kernel run on f, and the cumulant route
+    # taken explicitly, whichever the word count picks
+    order = data.draw(st.integers(1, SLOW_MAX_ORDER[s]))
+    f = data.draw(rational_series(s, order, invertible=True))
+    want = _kernel_inverse(f)
+    assert boxed_inverse(f) == want
+    assert r_transform(_kernel_inverse(r_transform(f))) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), generators=st.integers(1, 3), order=st.integers(1, 4))
+def test_boxed_inverse_routes_agree_on_moment_series(data, generators, order):
+    # elements shifted by a drawn constant, so that most have nonzero means
+    model = data.draw(sparse_models(generators, 2 * order))
+    shift = NcPolynomial.unit().scale(data.draw(st.sampled_from([0, 1, Fraction(-3, 2)])))
+    elements = [p + shift for p in data.draw(moment_elements(generators))]
+    f = moment_series(model, elements, order)
+    try:
+        want = _kernel_inverse(f)
+    except ValueError as err:  # an element with mean zero
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            boxed_inverse(f)
+        return
+    assert boxed_inverse(f) == want
+
+
+def _scalar_job_moments(rng: random.Random, gens: int, order: int, free: bool) -> Series:
+    # The scalar jobs of the freeness benchmark: second and third cumulants
+    # per generator, a chain of mixed second cumulants on generators 2..gens
+    # and, unless free, one between generators 1 and 2; linear elements with
+    # nonzero means, the first on generator 1, the others on 2..gens.
+    table = {}
+    for g in range(1, gens + 1):
+        table[(g, g)] = Fraction(rng.randint(1, 4), 2)
+        table[(g, g, g)] = Fraction(rng.randint(1, 2), 3)
+    for g in range(2, gens):
+        table[(g, g + 1)] = table[(g + 1, g)] = Fraction(1, 3)
+    if not free:
+        table[(1, 2)] = table[(2, 1)] = Fraction(rng.randint(1, 2), 4)
+    elements = []
+    for r in range(1, gens + 1):
+        pool = [1] if r == 1 else range(2, gens + 1)
+        terms = {(): rng.randint(1, 4)} | {(g,): Fraction(rng.randint(1, 4), 2) for g in pool}
+        elements.append(NcPolynomial.of(terms))
+    return moment_series(CumulantModel.of(gens, order, table), elements)
+
+
+@pytest.mark.parametrize("free", [True, False])
+@pytest.mark.parametrize("gens, order", [(2, 6), (3, 5)])
+def test_boxed_inverse_runs_the_kernel_on_sparse_cumulants(monkeypatch, gens, order, free):
+    m = _scalar_job_moments(random.Random(f"{gens}:{order}:{free}"), gens, order, free)
+    operands = []
+
+    def kernel(f):
+        operands.append(f)
+        return _kernel_inverse(f)
+
+    monkeypatch.setattr(freeprob, "_kernel_inverse", kernel)
+    r = r_transform(m)
+    assert len(r.items) < len(m.items)
+    assert boxed_inverse(m) == _kernel_inverse(m)
+    assert operands == [r]
