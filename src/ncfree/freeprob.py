@@ -420,16 +420,22 @@ def boxed_inverse(f: Series) -> Series:
 def m_from_r(r: Series) -> Series:
     """Moment series of a cumulant series.
 
-    The moments are the states of the generators in the model whose
-    cumulant table is r, so they come from `moment_series` by the
-    first-block recursion over the table's prefixes, on integers (see
-    `phi_word`).  Equals the boxed convolution of r with the zeta series.
-    An order above DEFAULT_MAX_GROUND_SET raises ValueError before any state
-    is computed.
+    The moment of a word is its state in the model whose cumulant table is
+    r, so each word of the alphabet up to the order is one first-block
+    recursion over the table's prefixes, on integers (see `phi_word`).
+    Equals the boxed convolution of r with the zeta series.  An order above
+    DEFAULT_MAX_GROUND_SET raises ValueError before any state is computed.
     """
     _within_cap(r.order)
     model = CumulantModel(r.alphabet, r.order, r.items)
-    return moment_series(model, [NcPolynomial.generator(g) for g in range(1, r.alphabet + 1)])
+    den = model.numerators[0]
+    out: dict[Word, Fraction] = {}
+    for n in range(1, r.order + 1):
+        for w in itertools.product(range(1, r.alphabet + 1), repeat=n):
+            num = _phi_numerator(model, w)
+            if num:
+                out[w] = Fraction(num, den**n)
+    return Series.of(r.alphabet, r.order, out)
 
 
 def check_free(r: Series, families: Sequence[Iterable[int]]) -> tuple[bool, Word | None]:

@@ -14,13 +14,16 @@ determining series.  Convolving that series against the constant-word series
 the family; convolving against its companion yields the R-transform.
 
 Entries are classified in one place, `_entries`: each is zero, a scalar
-multiple c x_letter of a single generator, or something richer.  Recognition
-and table extraction need the first two kinds, and raise ValueError naming
-the first entry of the third.  A chain of such entries has cumulant prod(c)
-times the model's cumulant of the chain's generator word; the model stores
-every nonzero cumulant in its table, so one walk over the table words finds
-every chain that survives, cyclic or not.  `closure_check` takes entries of
-every kind, and inverts moments where the table cannot be read.
+multiple c x_letter of a single generator, or something richer; a letter
+outside the model raises ValueError.  Recognition and table extraction need
+the first two kinds, and raise ValueError naming the first entry of the
+third.  A chain of such entries has cumulant prod(c) times the model's
+cumulant of the chain's generator word; the model stores every nonzero
+cumulant in its table, so one walk over the table words finds every chain
+that survives, cyclic or not.  `closure_check` takes entries of every kind
+by two routes: that same walk answers every tuple of scaled generators, and
+only the tuples that hold a richer entry and no zero entry are enumerated,
+each inverted from its moments.
 """
 
 from __future__ import annotations
@@ -149,14 +152,15 @@ class RCyclicFamily:
 def _nonzero_chains(ents: _Entries, n_max: int):
     """Yield (matrix word, ((i_1, j_1), ...), value) for every entry chain of
     length at most n_max with a nonzero cumulant, walking the model's table
-    once, in table order.  Every entry must be zero or a scaled single
-    generator: a chain c_1 x_(w_1), ..., c_n x_(w_n) has cumulant
-    prod(c_t) * t(w), made from the forms (c_t * P, w_t) and the numerator
-    t(w) * L as one Fraction(prod(c_t * P) * t(w) * L, P^n * L)."""
+    once, in table order.  Only entries that are scaled single generators
+    take part; zero and richer entries are skipped.  A chain c_1 x_(w_1),
+    ..., c_n x_(w_n) has cumulant prod(c_t) * t(w), made from the forms
+    (c_t * P, w_t) and the numerator t(w) * L as one
+    Fraction(prod(c_t * P) * t(w) * L, P^n * L)."""
     holders: dict[int, list[tuple[int, int, int, int]]] = {}
-    for tag, (c, letter) in zip(ents.tags, ents.forms):
-        if c:
-            holders.setdefault(letter, []).append((*tag, c))
+    for tag, form in zip(ents.tags, ents.forms):
+        if form is not None and form[0]:
+            holders.setdefault(form[1], []).append((*tag, form[0]))
     p_den, l_den = ents.dens
     for word, num in ents.model.numerators[1].items():
         n = len(word)
@@ -283,18 +287,24 @@ def partial_sum_rtransform(f: Series, d: int) -> Series:
     return Series.of(s, f.order, out)
 
 
-def _degree_bounded(
-    degs: Sequence[int], n: int, budget: int, head: tuple[int, ...] = ()
+def _polynomial_tuples(
+    cands: Sequence[tuple[int, int, bool]], n: int, budget: int, head: tuple[int, ...] = (),
+    head_rich: bool = False,
 ) -> Iterator[tuple[int, ...]]:
-    # index tuples of length n with total degree at most budget, in
-    # itertools.product order; a branch stops as soon as its partial degree
-    # passes the budget
-    if len(head) == n:
-        yield head
-        return
-    for t, deg in enumerate(degs):
-        if deg <= budget:
-            yield from _degree_bounded(degs, n, budget - deg, head + (t,))
+    # tuples of n entries from cands (entry number, degree, is it rich:
+    # neither zero nor a scaled generator) with total degree at most budget
+    # and at least one rich entry, in itertools.product order; a branch
+    # stops as soon as its partial degree passes the budget, and the last
+    # slot takes only rich entries when the head holds none
+    last = len(head) == n - 1
+    for t, deg, rich in cands:
+        if deg <= budget and (rich or head_rich or not last):
+            if last:
+                yield head + (t,)
+            else:
+                yield from _polynomial_tuples(
+                    cands, n, budget - deg, head + (t,), head_rich or rich
+                )
 
 
 class _Entries(NamedTuple):
@@ -342,6 +352,11 @@ def _entries(model: CumulantModel, grids: Sequence[Sequence[Sequence[NcPolynomia
     d = len(grids[0])
     tags = [(t // (d * d) + 1, t // d % d + 1, t % d + 1) for t in range(len(polys))]
     degs = [p.degree() for p in polys]
+    gens = model.generators
+    for p in polys:
+        bad = [g for w, _ in p.items for g in w if not 1 <= g <= gens]
+        if bad:
+            raise ValueError(f"letter {bad[0]} of entry {p.items} out of range 1..{gens}")
     p_den, terms = integer_terms(polys)
     l_den, numerators = model.numerators
     forms = [
@@ -380,13 +395,26 @@ def closure_check(
 ) -> tuple[bool, tuple[Word, tuple[tuple[int, int], ...]] | None]:
     """Is the family together with one more (polynomial-entry) matrix R-cyclic?
 
-    Checks every non-cyclic pattern with total entry degree and tuple length
-    up to the budget, walking the index tuples depth first in lexicographic
-    order and cutting a branch once its degree passes the budget.  Entries
-    may be arbitrary polynomials: the cumulant of a tuple is its moment
-    minus, over each block V that holds its first entry and is not the whole
-    tuple, the cumulant of the tuple restricted to V times the moments of the
-    gaps V leaves, all memoised by tuple within one call.
+    Looks for the first non-cyclic entry tuple with a nonzero cumulant among
+    the tuples of total entry degree and length up to the budget, first by
+    length, then lexicographically by (matrix, row, column) tags.  Entries
+    may be arbitrary polynomials, and the tuples split by kind of entry
+    (see `_entries`):
+
+    - Tuples of scaled single generators are the chains of the `_scan` table
+      walk, so one walk answers them all: their cumulant is the product of
+      the coefficients times the table entry of the generator word.  The
+      least non-cyclic chain of each length is kept.
+    - A tuple holding a zero entry has cumulant zero, by multilinearity.
+    - Every other tuple holds at least one richer entry.  These are walked
+      depth first in lexicographic order, a branch cut once its degree
+      passes the budget, and each walk of one length stops at the table
+      walk's least chain of that length, which is the witness unless a
+      walked tuple before it fails.  The cumulant of such a tuple is its
+      moment minus, over each block V that holds its first entry and is not
+      the whole tuple, the cumulant of the tuple restricted to V times the
+      moments of the gaps V leaves, all memoised by tuple within one call;
+      blocks of scaled generators are read off the table.
 
     Everything runs on integers and nothing is divided.  With P the lcm of
     the entries' coefficient denominators and L that of the model's
@@ -398,12 +426,9 @@ def closure_check(
     entries, so the scaled cumulants obey the moment-cumulant relation with
     no lift, and only whether they vanish is read.
 
-    A tuple whose entries are all zero or scaled single generators needs no
-    inversion: its cumulant is the product of the coefficients times the
-    table entry of its generator word (zero if an entry is zero), so it is
-    read off the table.  A budget below 1, above the model order or above
-    DEFAULT_MAX_GROUND_SET, or a new grid that is not d x d, raises
-    ValueError before any cumulant is computed.
+    A budget below 1, above the model order or above
+    DEFAULT_MAX_GROUND_SET, a new grid that is not d x d, or an entry letter
+    outside the model raises ValueError before any cumulant is computed.
     """
     model = fam.model
     n_budget = model.order if budget is None else budget
@@ -417,13 +442,31 @@ def closure_check(
     if len(new_grid) != d or any(len(row) != d for row in new_grid):
         raise ValueError(f"new grid must be {d} x {d}")
     ents = _entries(model, (*fam.grids, new_grid))
+    tags = ents.tags
+    # the least non-cyclic chain of scaled generators per length, by entry number
+    least: dict[int, tuple[int, ...]] = {}
+    for rword, pairs, _ in _nonzero_chains(ents, n_budget):
+        if not _is_cyclic(pairs):
+            idx = tuple(((r - 1) * d + i - 1) * d + j - 1 for r, (i, j) in zip(rword, pairs))
+            n = len(idx)
+            if n not in least or idx < least[n]:
+                least[n] = idx
+    # a zero entry makes a cumulant vanish, so none is ever a candidate
+    cands = [
+        (t, deg, form is None)
+        for t, (deg, form) in enumerate(zip(ents.degs, ents.forms))
+        if form != (0, 0)
+    ]
     memo: dict[tuple[int, ...], int] = {}
     for n in range(1, n_budget + 1):
-        for idx in _degree_bounded(ents.degs, n, n_budget):
-            pairs = tuple(ents.tags[t][1:] for t in idx)
-            if _is_cyclic(pairs):
-                continue
-            if _scaled_cumulant(idx, memo, ents.moment, ents.table_value):
-                rword = tuple(ents.tags[t][0] for t in idx)
-                return False, (rword, pairs)
+        witness = least.get(n)
+        for idx in _polynomial_tuples(cands, n, n_budget):
+            if witness is not None and idx > witness:
+                break
+            pairs = tuple(tags[t][1:] for t in idx)
+            if not _is_cyclic(pairs) and _scaled_cumulant(idx, memo, ents.moment, ents.table_value):
+                witness = idx
+                break
+        if witness is not None:
+            return False, (tuple(tags[t][0] for t in witness), tuple(tags[t][1:] for t in witness))
     return True, None

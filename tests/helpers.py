@@ -5,15 +5,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from hypothesis import strategies as st
 
-from ncfree.freeprob import CumulantModel, NcPolynomial, phi_poly
+from ncfree.freeprob import CumulantModel, NcPolynomial, _scaled_cumulant, phi_poly
 from ncfree.ncpartition import Partition, enumerate_nc, is_noncrossing, kreweras
 from ncfree.opvalued import OperatorMatrix, ScalarMatrix, _scaled_sum, expect_b, expect_d
 from ncfree.oracle import nc_by_filter
-from ncfree.rcyclic import MatrixFamily, RCyclicFamily, entry_letter
+from ncfree.rcyclic import MatrixFamily, RCyclicFamily, _entries, _is_cyclic, entry_letter
 from ncfree.series import Series
 
 Word = tuple[int, ...]
@@ -869,6 +869,37 @@ def fraction_closure_check(fam: MatrixFamily, new_grid, budget: int):
     return True, None
 
 
+def _degree_bounded(
+    degs: Sequence[int], n: int, budget: int, head: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    # index tuples of length n with total degree at most budget, in
+    # itertools.product order; a branch stops as soon as its partial degree
+    # passes the budget
+    if len(head) == n:
+        yield head
+        return
+    for t, deg in enumerate(degs):
+        if deg <= budget:
+            yield from _degree_bounded(degs, n, budget - deg, head + (t,))
+
+
+def enumerated_closure_check(fam: MatrixFamily, new_grid, budget: int):
+    """closure_check by plain enumeration: every index tuple of total degree
+    at most the budget, by length and then in itertools.product order, each
+    non-cyclic one inverted or read off the table by the library's integer
+    first-block inversion; same verdict and witness."""
+    ents = _entries(fam.model, (*fam.grids, new_grid))
+    memo: dict[tuple[int, ...], int] = {}
+    for n in range(1, budget + 1):
+        for idx in _degree_bounded(ents.degs, n, budget):
+            pairs = tuple(ents.tags[t][1:] for t in idx)
+            if _is_cyclic(pairs):
+                continue
+            if _scaled_cumulant(idx, memo, ents.moment, ents.table_value):
+                return False, (tuple(ents.tags[t][0] for t in idx), pairs)
+    return True, None
+
+
 def mixed_values():
     return st.sampled_from(MIXED_VALUES)
 
@@ -971,12 +1002,14 @@ def moment_elements(draw, generators: int):
 
 
 @st.composite
-def closure_cases(draw, max_budget: dict[tuple[int, int], int]):
+def closure_cases(draw, max_budget: dict[tuple[int, int], int], polynomial_family: bool = False):
     """(family, new grid, budget): a family whose entries are their own
     generators, or those generators scaled or zeroed, whose table holds
     cyclic chains and perhaps one injected non-cyclic word, and a new matrix
     that is A Lam A' + Shift in the family's matrices (closed), sparse
-    polynomials in the entries, or zero and scaled single generators."""
+    polynomials in the entries, or zero and scaled single generators.  With
+    polynomial_family, some family entries may then become sparse
+    polynomials of degree at most 2."""
     d = draw(st.integers(1, 3))
     s = draw(st.integers(1, 2))
     budget = draw(st.integers(1, max_budget[(d, s)]))
@@ -1005,6 +1038,13 @@ def closure_cases(draw, max_budget: dict[tuple[int, int], int]):
         # entry (r, i, j) keeps its letter, scaled or zeroed
         fam = MatrixFamily.of(d, s, model, [
             [[fam.entry(r, i, j).scale(draw(scales)) for j in range(1, d + 1)]
+             for i in range(1, d + 1)]
+            for r in range(1, s + 1)
+        ])
+    if polynomial_family and draw(st.booleans()):
+        poly = sparse_polynomials(s * d * d, 2)
+        fam = MatrixFamily.of(d, s, model, [
+            [[draw(poly) if draw(st.booleans()) else fam.entry(r, i, j) for j in range(1, d + 1)]
              for i in range(1, d + 1)]
             for r in range(1, s + 1)
         ])

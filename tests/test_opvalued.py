@@ -569,6 +569,16 @@ def test_generator_only_entry_points_name_the_first_polynomial_entry(monkeypatch
     assert searched == [2, 2, 2]
 
 
+def test_generic_cumulant_rejects_letters_outside_the_model():
+    x1, zero = NcPolynomial.generator(1), NcPolynomial.zero()
+    bad = NcPolynomial.generator(99).scale(Fraction(1, 2))
+    x = OperatorMatrix.of(CumulantModel.of(4, 4, {(1, 1): 1}), [[x1, bad], [zero, x1]])
+    for algebra in ("B", "D"):
+        with pytest.raises(ValueError) as exc:
+            opvalued_cumulant_generic([x, x], algebra)
+        assert str(exc.value) == f"letter 99 of entry {bad.items} out of range 1..4"
+
+
 def test_amalgamated_freeness_budget_counts_matrix_factors():
     # budget 1 is within the model order, yet X + X X has entries of degree
     # 2, so the search evaluates words past it

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ncfree import freeprob
+from ncfree import freeprob, rcyclic
 from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.rcyclic import (
     _entries,
@@ -23,6 +23,7 @@ from ncfree.rcyclic import (
 )
 from ncfree.series import Series, coef, ext_boxed_convolve, geometric, h_series, pair_word, scale
 from helpers import (
+    VALUES,
     circular_2x2,
     closure_cases,
     constant_table_family,
@@ -30,6 +31,7 @@ from helpers import (
     dense_is_rcyclic,
     detached_diagonal_family,
     diagonal_free_2x2,
+    enumerated_closure_check,
     first_moment_family,
     fraction_closure_check,
     mixed_2x2,
@@ -236,6 +238,95 @@ def test_closure_matches_fraction_recursion(case):
     assert closure_check(fam, new_grid, budget) == fraction_closure_check(fam, new_grid, budget)
 
 
+# the integer reference inverts no Fractions, so it reaches past CLOSURE_MAX_BUDGET
+CLOSURE_ENUM_BUDGET = {(1, 1): 6, (1, 2): 5, (2, 1): 4, (2, 2): 3, (3, 1): 3, (3, 2): 2}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=closure_cases(CLOSURE_ENUM_BUDGET, polynomial_family=True))
+def test_closure_matches_enumeration(case):
+    # family entries may be polynomials too, so tuples of family entries
+    # alone take the enumerated route as well as the table walk
+    fam, new_grid, budget = case
+    assert closure_check(fam, new_grid, budget) == enumerated_closure_check(fam, new_grid, budget)
+
+
+@pytest.mark.parametrize("d, s, budget", [(2, 1, 4), (2, 2, 4), (3, 1, 4)])
+def test_closure_matches_enumeration_on_closure_shapes(d, s, budget):
+    # A Lam A + Shift over a random R-cyclic family, as the freeness closure
+    # jobs build it, with and without an injected non-cyclic table word and a
+    # non-cyclic new cell
+    verdicts = []
+    for seed in range(8):
+        rng = random.Random(5100 + 10 * d + s + 100 * seed)
+        cyclic = random_cyclic_table(rng, d, s, budget)
+        model, fam = model_from_cyclic_table(cyclic)
+        injected, broken = seed % 2, seed // 2 % 2
+        if injected:
+            word = tuple(rng.randint(1, s * d * d) for _ in range(rng.randint(2, budget)))
+            table = {**model.table, word: Fraction(1, 3)}
+            model = CumulantModel.of(model.generators, budget, table)
+            fam = MatrixFamily.of(d, s, model, fam.grids)
+        a = [[fam.entry(1, i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
+        lam = [rng.choice(VALUES) for _ in range(d)]
+        shift = [rng.choice(VALUES) for _ in range(d)]
+        grid = [
+            [
+                sum(((a[i][k] * a[k][j]).scale(lam[k]) for k in range(d)), NcPolynomial.zero())
+                + (NcPolynomial.unit().scale(shift[i]) if i == j else NcPolynomial.zero())
+                for j in range(d)
+            ]
+            for i in range(d)
+        ]
+        if broken:
+            i, j = rng.sample(range(d), 2)
+            grid[i][j] = grid[i][j] + NcPolynomial.generator(rng.randint(1, s * d * d))
+        ok, witness = closure_check(fam, grid, budget)
+        assert (ok, witness) == enumerated_closure_check(fam, grid, budget)
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("table, expected", [
+    # the walk's (a11, a12) comes before the enumerated (a11, b12)
+    ({(1, 1): 1, (1, 2): 1}, ((1, 1), ((1, 1), (1, 2)))),
+    # the enumerated (a11, b12) comes before the walk's (a22, a12)
+    ({(1, 1): 1, (4, 2): 1}, ((1, 2), ((1, 1), (1, 2)))),
+])
+def test_closure_witness_merges_walk_and_enumeration(table, expected):
+    # one length, two routes: b12 = a11 + a12 has mean zero and cumulant
+    # k2(a11, b12) = k2(a11, a11) + k2(a11, a12) with a11, so both the table
+    # walk and the enumeration fail at length 2, and the lesser tuple wins
+    fam = MatrixFamily.from_generator_entries(2, 1, CumulantModel.of(4, 3, table))
+    zero = NcPolynomial.zero()
+    grid = [[zero, fam.entry(1, 1, 1) + fam.entry(1, 1, 2)], [zero, zero]]
+    assert closure_check(fam, grid, 3) == fraction_closure_check(fam, grid, 3) == (False, expected)
+
+
+def test_closure_inverts_only_tuples_with_a_polynomial_entry(monkeypatch):
+    # a top-level inversion always holds an entry that is neither zero nor a
+    # scaled generator, and never a zero entry
+    calls = []
+    inner = rcyclic._scaled_cumulant
+    monkeypatch.setattr(
+        rcyclic, "_scaled_cumulant", lambda idx, *rest: calls.append(idx) or inner(idx, *rest)
+    )
+    fam = mixed_2x2(4)
+    a = [[fam.entry(1, i, j) for j in (1, 2)] for i in (1, 2)]
+    one, zero = NcPolynomial.unit(), NcPolynomial.zero()
+    for grid in (
+        [[a[0][0] * a[0][0] - one, a[0][1].scale(2)], [zero, a[1][1] + one]],
+        [[a[0][0] * a[0][1] + a[0][1] * a[1][1], zero], [a[1][0], one]],
+    ):
+        calls.clear()
+        assert closure_check(fam, grid, 4) == enumerated_closure_check(fam, grid, 4)
+        forms = _entries(fam.model, (*fam.grids, grid)).forms
+        assert calls
+        for idx in calls:
+            assert any(forms[t] is None for t in idx)
+            assert all(forms[t] != (0, 0) for t in idx)
+
+
 def test_closure_scale_follows_entry_degree():
     # a11 against the (2, 2) cell of A*A: two entries of total degree 3 whose
     # moment holds the product of three means, 1/27; one table denominator
@@ -335,6 +426,23 @@ def test_entries_classify_zero_and_scaled_generators():
         message = f"entry is not a scalar multiple of a single generator: {bad.items}"
         with pytest.raises(ValueError) as exc:
             _entries(model, [[[zero, scaled], [bad, x1 * x1 + x1]]]).single_generators()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("letter", [0, 5, 99])
+def test_entry_letters_outside_the_model_raise(letter):
+    # a letter the model does not know would read as a generator with no
+    # cumulants; every entry kind names it instead
+    fam = mixed_2x2(4)
+    x1, zero = NcPolynomial.generator(1), NcPolynomial.zero()
+    for bad in (NcPolynomial.generator(letter).scale(2), x1 * NcPolynomial.generator(letter) + x1):
+        message = f"letter {letter} of entry {bad.items} out of range 1..4"
+        outside = MatrixFamily.of(2, 1, fam.model, [[[x1, bad], [zero, x1]]])
+        with pytest.raises(ValueError) as exc:
+            is_rcyclic(outside)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            closure_check(fam, [[bad, zero], [zero, bad]], 4)
         assert str(exc.value) == message
 
 
