@@ -18,7 +18,10 @@ theorem of Nica, Shlyakhtenko and Speicher, matrices are R-cyclic exactly
 when the algebra they generate with the diagonal is free from the scalar
 matrices over the diagonal, so generator-entry matrices whose table shows no
 non-cyclic chain within the budget pass without a word search.  The search
-runs otherwise, and it alone produces witnesses.
+runs otherwise, and it alone produces witnesses.  A word times an
+off-diagonal unit E_ij is zero outside column j, so the search carries one
+column of each partial word rather than a matrix product, and it refuses a
+budget with more than MAX_SEARCH_WORDS words to visit before any product.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ _ONE = Fraction(1)
 # Chains grow as d^n and states as the chains' total degree; the cap keeps
 # the exit codes of `ncfree opcumulant` on words past it.
 MAX_CUMULANT_ARGS = 8
+
+# The freeness word search visits about five times more words per step of
+# the budget; past this many it refuses before any product.
+MAX_SEARCH_WORDS = 10**5
 
 
 @dataclass(frozen=True)
@@ -144,16 +151,6 @@ def _distinct(mats: Sequence[OperatorMatrix]) -> list[OperatorMatrix]:
     return out
 
 
-def _scaled_sum(pairs: Iterable[tuple[NcPolynomial, Fraction]]) -> NcPolynomial:
-    """Sum of the polynomials p times the scalars c, normalised once."""
-    out: dict[Word, Fraction] = {}
-    for p, c in pairs:
-        if c:
-            for w, v in p.items:
-                out[w] = out.get(w, _ZERO) + v * c
-    return NcPolynomial.of(out)
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """d x d matrix with polynomial entries over one cumulant model."""
@@ -204,18 +201,7 @@ class OperatorMatrix:
         )
 
     def mul_scalar_right(self, sm: ScalarMatrix) -> "OperatorMatrix":
-        d = self.d
-        return OperatorMatrix(
-            self.model,
-            d,
-            tuple(
-                tuple(
-                    _scaled_sum((self.rows[a][k], sm.rows[k][b]) for k in range(d))
-                    for b in range(d)
-                )
-                for a in range(d)
-            ),
-        )
+        return self.mul(OperatorMatrix.from_scalar(self.model, sm))
 
     def add(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(
@@ -490,7 +476,8 @@ def check_amalgamated_freeness(
     diagonal, so every word vanishes.  The theorem is algebraic and needs no
     positivity.  Otherwise the search runs, so every witness, every verdict
     limited by the budget and every error is the search's own.  An empty
-    list, or generators over different models or sizes, raise ValueError.
+    list, generators over different models or sizes, or a search with more
+    than MAX_SEARCH_WORDS words to visit raise ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -501,52 +488,75 @@ def check_amalgamated_freeness(
     return _word_search(gens, budget)
 
 
+def _search_size(d: int, s: int, budget: int) -> int:
+    # words the search may visit, from a small count over slots and spent
+    # budget: the pool of degree q holds at most s^q (d+1)^(q-1) monomials
+    # (q matrices, no projection or one of P_1..P_d in each of the q-1
+    # gaps), the end slots may also take the unit, and each V is one of
+    # d(d-1) units
+    units = d * (d - 1)
+    pool = [1] + [s**q * (d + 1) ** (q - 1) for q in range(1, budget + 1)]
+    # prefixes[b]: prefixes C_1 V ... C_t V that spend b of the budget
+    prefixes = [units * pool[b] for b in range(budget + 1)]
+    total = 0
+    while any(prefixes):
+        total += sum(prefixes[b] * pool[q] for b in range(budget + 1) for q in range(budget + 1 - b))
+        prefixes = [
+            units * sum(prefixes[b - q] * pool[q] for q in range(1, b + 1))
+            for b in range(budget + 1)
+        ]
+    return total
+
+
 def _word_search(
     gens: Sequence[OperatorMatrix], budget: int
 ) -> tuple[bool, str | None]:
     # depth-first search over the alternating words of
     # check_amalgamated_freeness, slot by slot, for the first word with a
-    # nonzero diagonal expectation
+    # nonzero diagonal expectation.  A word times V(i, j) holds its column i
+    # as column j and is zero elsewhere: the search carries that column and
+    # j, and the next factor C makes entry (a, b) column[a] * C[j][b].
     model = gens[0].model
     d = gens[0].d
+    size = _search_size(d, len(gens), budget)
+    if size > MAX_SEARCH_WORDS:
+        raise ValueError(f"word search of up to {size} words exceeds the cap of {MAX_SEARCH_WORDS}")
     pool = _inner_monomials(gens, budget)
-    mid_pool = [(q, lab, m) for q in range(1, budget + 1) for lab, m in pool[q]]
-    unit = OperatorMatrix.identity(model, d)
-    end_pool = [(0, "1", unit)] + mid_pool
-    vunits = [
-        (i, j, ScalarMatrix.unit(d, i, j))
-        for i in range(1, d + 1)
-        for j in range(1, d + 1)
-        if i != j
-    ]
+    mid_pool = [(q, lab, m.rows) for q in range(1, budget + 1) for lab, m in pool[q]]
+    end_pool = [(0, "1", OperatorMatrix.identity(model, d).rows)] + mid_pool
 
-    def dfs(slot: int, n_slots: int, partial: OperatorMatrix | None, left: int, trail: list[str]):
+    def dfs(slot: int, n_slots: int, column, c: int, left: int, trail: list[str]):
         last = slot == n_slots
         options = end_pool if (slot == 1 or last) else mid_pool
         interior_after = max(0, (n_slots - 1) - slot)
-        for q, lab, mat in options:
+        for q, lab, rows in options:
             if q > left - interior_after:
                 continue
-            prod = mat if partial is None else partial.mul(mat)
-            if prod.is_zero():
-                continue
             if last:
-                if not expect_d(prod).is_zero():
+                # the whole diagonal first, as expect_d does, so a state past
+                # the model order raises whatever the other entries hold
+                if any([phi_poly(model, column[k] * rows[c][k]) for k in range(d)]):
                     return " ".join(trail + [lab])
                 continue
-            for i, j, v in vunits:
-                prod2 = prod.mul_scalar_right(v)
-                if prod2.is_zero():
+            for i in range(d):
+                # column i of the word so far times this factor
+                if column is None:
+                    picked = [row[i] for row in rows]
+                else:
+                    picked = [p * rows[c][i] for p in column]
+                if all(p.is_zero() for p in picked):
                     continue
-                hit = dfs(
-                    slot + 1, n_slots, prod2, left - q, trail + [lab, f"V({i},{j})"]
-                )
-                if hit:
-                    return hit
+                for j in range(d):
+                    if j == i:
+                        continue
+                    word = trail + [lab, f"V({i + 1},{j + 1})"]
+                    hit = dfs(slot + 1, n_slots, picked, j, left - q, word)
+                    if hit:
+                        return hit
         return None
 
     for n_slots in range(2, budget + 3):
-        hit = dfs(1, n_slots, None, budget, [])
+        hit = dfs(1, n_slots, None, 0, budget, [])
         if hit:
             return False, hit
     return True, None

@@ -203,6 +203,8 @@ def _family_order(fam: MatrixFamily, order: int | None) -> int:
     # the model defines no cumulant past its order, so no table can claim one
     if order is None:
         return fam.model.order
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
     if order > fam.model.order:
         raise ValueError(f"order {order} exceeds model order {fam.model.order}")
     return order

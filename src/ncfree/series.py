@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .ncpartition import DEFAULT_MAX_GROUND_SET, nc_pairs
 
@@ -44,6 +44,10 @@ Word = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Zeta and Moebius store every word over their alphabet up to their order;
+# more words than this are refused before the first.
+MAX_SERIES_WORDS = 10**6
 
 
 def format_rational(x: Fraction) -> str:
@@ -259,22 +263,34 @@ def truncate(f: Series, order: int) -> Series:
     return Series.of(f.alphabet, order, {w: v for w, v in f.items if len(w) <= order})
 
 
+def _words_by_length(s: int, order: int) -> Iterator[tuple[int, Iterator[Word]]]:
+    # (n, the words of length n over s letters) for n = 1..order; more than
+    # MAX_SERIES_WORDS words in all raise before the first is made.  An empty
+    # alphabet has no words at any order, and Series.of refuses it.
+    if s < 1:
+        return
+    size = 0
+    for n in range(1, order + 1):
+        size += s**n
+        if size > MAX_SERIES_WORDS:
+            raise ValueError(
+                f"alphabet {s} to order {order} has more than {MAX_SERIES_WORDS} words"
+            )
+    for n in range(1, order + 1):
+        yield n, itertools.product(range(1, s + 1), repeat=n)
+
+
 def zeta(s: int, order: int) -> Series:
     """Coefficient 1 on every word."""
-    out = {}
-    for n in range(1, order + 1):
-        for w in itertools.product(range(1, s + 1), repeat=n):
-            out[w] = _ONE
-    return Series.of(s, order, out)
+    return Series.of(s, order, {w: _ONE for _, words in _words_by_length(s, order) for w in words})
 
 
 def moebius(s: int, order: int) -> Series:
     """The boxed inverse of zeta; signed Catalan coefficient by length."""
     out = {}
-    for n in range(1, order + 1):
+    for n, words in _words_by_length(s, order):
         val = Fraction((-1) ** (n + 1) * math.comb(2 * n - 2, n - 1), n)
-        for w in itertools.product(range(1, s + 1), repeat=n):
-            out[w] = val
+        out.update(dict.fromkeys(words, val))
     return Series.of(s, order, out)
 
 

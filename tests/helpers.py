@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ncfree.freeprob import CumulantModel, NcPolynomial, _scaled_cumulant, phi_poly
 from ncfree.ncpartition import Partition, enumerate_nc, is_noncrossing, kreweras
-from ncfree.opvalued import OperatorMatrix, ScalarMatrix, _scaled_sum, expect_b, expect_d
+from ncfree.opvalued import OperatorMatrix, ScalarMatrix, _inner_monomials, expect_b, expect_d
 from ncfree.oracle import nc_by_filter
 from ncfree.rcyclic import MatrixFamily, RCyclicFamily, _entries, _is_cyclic, entry_letter
 from ncfree.series import Series
@@ -411,18 +411,61 @@ def gen_coef(f: Series, w: Iterable[int], p: Partition) -> Fraction:
 
 def mul_scalar_left(x: OperatorMatrix, sm: ScalarMatrix) -> OperatorMatrix:
     """sm times x, each cell normalised once."""
-    d = x.d
-    return OperatorMatrix(
-        x.model,
-        d,
-        tuple(
-            tuple(
-                _scaled_sum((x.rows[k][b], sm.rows[a][k]) for k in range(d))
-                for b in range(d)
-            )
-            for a in range(d)
-        ),
-    )
+    return OperatorMatrix.from_scalar(x.model, sm).mul(x)
+
+
+def matrix_word_search(
+    gens: Sequence[OperatorMatrix], budget: int
+) -> tuple[bool, str | None]:
+    """The freeness word search with every partial word a d x d matrix
+    product and every unit a scalar-matrix product, as the library once ran
+    it: the reference for the column-carrying search, with no size cap."""
+    # depth-first search over the alternating words of
+    # check_amalgamated_freeness, slot by slot, for the first word with a
+    # nonzero diagonal expectation
+    model = gens[0].model
+    d = gens[0].d
+    pool = _inner_monomials(gens, budget)
+    mid_pool = [(q, lab, m) for q in range(1, budget + 1) for lab, m in pool[q]]
+    unit = OperatorMatrix.identity(model, d)
+    end_pool = [(0, "1", unit)] + mid_pool
+    vunits = [
+        (i, j, ScalarMatrix.unit(d, i, j))
+        for i in range(1, d + 1)
+        for j in range(1, d + 1)
+        if i != j
+    ]
+
+    def dfs(slot: int, n_slots: int, partial: OperatorMatrix | None, left: int, trail: list[str]):
+        last = slot == n_slots
+        options = end_pool if (slot == 1 or last) else mid_pool
+        interior_after = max(0, (n_slots - 1) - slot)
+        for q, lab, mat in options:
+            if q > left - interior_after:
+                continue
+            prod = mat if partial is None else partial.mul(mat)
+            if prod.is_zero():
+                continue
+            if last:
+                if not expect_d(prod).is_zero():
+                    return " ".join(trail + [lab])
+                continue
+            for i, j, v in vunits:
+                prod2 = prod.mul_scalar_right(v)
+                if prod2.is_zero():
+                    continue
+                hit = dfs(
+                    slot + 1, n_slots, prod2, left - q, trail + [lab, f"V({i},{j})"]
+                )
+                if hit:
+                    return hit
+        return None
+
+    for n_slots in range(2, budget + 3):
+        hit = dfs(1, n_slots, None, budget, [])
+        if hit:
+            return False, hit
+    return True, None
 
 
 # -- recursive NC(n) pipeline -------------------------------------------------

@@ -405,7 +405,8 @@ def test_criterion_10_amalgamated_freeness(capsys):
 
 def test_criterion_11_random_matrix_crosscheck(capsys):
     with criterion(11, "random matrix cross-check", capsys):
-        started = time.time()
+        # processor time, so a busy machine cannot fail the bound
+        started = time.process_time()
         r2 = Fraction(2)
         cfg = McConfig.of(2, ((r2, r2), (r2, r2)), 512, 20, 20260819)
         exact = exact_family_moments(cfg, 6)
@@ -415,4 +416,4 @@ def test_criterion_11_random_matrix_crosscheck(capsys):
         reports = compare(cfg, {2: exact[2], 4: exact[4], 6: exact[6]}, samples)
         assert len(reports) == 3
         assert all(r.passed for r in reports)
-        assert time.time() - started < 60.0
+        assert time.process_time() - started < 60.0

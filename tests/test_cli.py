@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,25 @@ def test_cli_check_amalg_freeness(tmp_path, capsys):
     assert "WITNESS\t1 V(2,1) A1" in out
 
 
+# semicircular diagonal entries and one non-cyclic cumulant of length 6
+LATE_SPEC = """\
+order 8
+dim 2
+matrices 1
+semicircular r=1 i=1 radius 1/1
+semicircular r=1 i=2 radius 1/1
+cumulant 1:1,2 1:1,2 1:1,2 1:1,2 1:1,2 1:1,2 = 1/1
+"""
+
+
+def test_cli_check_refuses_a_search_past_the_cap(tmp_path, capsys):
+    # budget 6 searches and fails; budget 7 would search about 1.7e5 words
+    path = spec_file(tmp_path, LATE_SPEC)
+    started = time.process_time()
+    assert_usage_error(run(["check", "amalg-freeness", "--spec", path, "--budget", "7"]), capsys)
+    assert time.process_time() - started < 1.0
+
+
 def test_cli_opcumulant(tmp_path, capsys):
     path = spec_file(tmp_path, MIXED_SPEC)
     assert run(["opcumulant", "--spec", path, "--algebra", "B", "--word", "1,1"]) == 0
@@ -284,6 +304,10 @@ def assert_usage_error(code, capsys):
         ["series", "--kind", "Moebius", "--s", "1", "--order", "0"],
         # past the partition cap: refused before any degree is convolved
         ["series", "--kind", "Hd", "--d", "2", "--order", "13"],
+        # past series.MAX_SERIES_WORDS: 16 + 16^2 + ... + 16^5 words
+        ["series", "--kind", "Zeta", "--s", "16", "--order", "5"],
+        ["series", "--kind", "Moebius", "--s", "16", "--order", "5"],
+        ["series", "--kind", "Hd", "--d", "16", "--order", "5"],
     ],
 )
 def test_cli_series_library_error_exit_code(argv, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -11,11 +12,13 @@ from ncfree.freeprob import CumulantModel, NcPolynomial
 from ncfree.ncpartition import Partition, enumerate_nc
 from ncfree.opvalued import (
     MAX_CUMULANT_ARGS,
+    MAX_SEARCH_WORDS,
     OperatorMatrix,
     ScalarMatrix,
     bvalued_cumulant_entrywise,
     check_amalgamated_freeness,
     check_chain_hypothesis,
+    _search_size,
     _word_search,
     dcumulant_data,
     dvalued_cumulant,
@@ -46,6 +49,7 @@ from helpers import (
     detached_diagonal_family,
     diagonal_free_2x2,
     first_moment_family,
+    matrix_word_search,
     mixed_2x2,
     dense_dvalued_cumulant,
     mixed_values,
@@ -497,6 +501,61 @@ def test_word_test_decision_matches_search(fam, data):
             return str(exc)
 
     assert outcome(check_amalgamated_freeness) == outcome(_word_search)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fam=scalar_generator_families(), data=st.data())
+def test_column_search_matches_matrix_products(fam, data):
+    # the draws of test_word_test_decision_matches_search, with both searches
+    # run: verdicts, witnesses and the errors of states past the model order
+    # must be those of the search over full matrix products
+    mats = [family_matrix(fam, r) for r in range(1, fam.s + 1)]
+    cap = SEARCH_MAX_BUDGET[(fam.d, fam.s)]
+    if data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(mats))
+        mats.append(x.mul(x) if data.draw(st.booleans()) else x.add(x.mul(x)))
+        cap = 1 if fam.d * len(mats) > 3 else min(cap, 2)
+    budget = data.draw(st.integers(1, min(cap, fam.model.order)))
+
+    def outcome(search):
+        try:
+            return search(mats, budget)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(_word_search) == outcome(matrix_word_search)
+
+
+def test_search_size_counts_the_words():
+    # every slot tuple of degrees (ends may be the unit, degree 0) within the
+    # budget, times s^q (d+1)^(q-1) monomials per slot and d(d-1) units per gap
+    def pool(d, s, q):
+        return s**q * (d + 1) ** (q - 1) if q else 1
+
+    for d, s, budget in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4)):
+        words = 0
+        for n_slots in range(2, budget + 3):
+            for qs in itertools.product(range(budget + 1), repeat=n_slots):
+                if sum(qs) <= budget and all(qs[1:-1]):
+                    units = (d * (d - 1)) ** (n_slots - 1)
+                    words += units * math.prod(pool(d, s, q) for q in qs)
+        assert _search_size(d, s, budget) == words
+    # the 2x2 one-matrix search runs at budget 6 and refuses at 7
+    assert _search_size(2, 1, 6) < MAX_SEARCH_WORDS < _search_size(2, 1, 7)
+
+
+def test_word_search_refuses_past_the_cap(monkeypatch):
+    # 2x2, one matrix, one non-cyclic cumulant of length 6: budget 7 is past
+    # the table shortcut, and the search refuses before building any word
+    monkeypatch.setattr(
+        opvalued, "_inner_monomials", mock.Mock(side_effect=AssertionError("pool built"))
+    )
+    x1, x2, x3, x4 = (NcPolynomial.generator(r) for r in (1, 2, 3, 4))
+    model = CumulantModel.of(4, 8, {(1, 1): Fraction(1, 4), (2, 2): Fraction(1, 4), (3,) * 6: 1})
+    x = OperatorMatrix.of(model, [[x1, x3], [x4, x2]])
+    message = f"word search of up to 174688 words exceeds the cap of {MAX_SEARCH_WORDS}"
+    with pytest.raises(ValueError, match=message):
+        check_amalgamated_freeness([x], budget=7)
 
 
 # every public entry point of opvalued that takes a list of matrices

@@ -108,7 +108,7 @@ def test_cyclic_family_reads_table():
 def test_table_walk_matches_dense_scan(fam, data):
     # verdict, witness and table equal the scan of every index pattern, also
     # when the order argument stops short of the model order
-    order = data.draw(st.one_of(st.none(), st.integers(0, fam.model.order)))
+    order = data.draw(st.one_of(st.none(), st.integers(1, fam.model.order)))
     verdict = is_rcyclic(fam, order)
     assert verdict == dense_is_rcyclic(fam, order)
     if verdict[0]:
@@ -451,8 +451,17 @@ def test_orders_past_the_model_order_raise():
     for call in (is_rcyclic, cyclic_family, determining_series):
         with pytest.raises(ValueError, match="order 6 exceeds model order 4"):
             call(fam, 6)
-    assert is_rcyclic(fam, 4) == is_rcyclic(fam, 0) == (True, None)
-    assert cyclic_family(fam, 0).table == {}
+    assert is_rcyclic(fam, 4) == (True, None)
+
+
+def test_orders_below_one_raise():
+    # order 0 would look at no chain and pass a family that is not R-cyclic
+    fam = first_moment_family(4)
+    assert not is_rcyclic(fam)[0]
+    for call in (is_rcyclic, cyclic_family, determining_series):
+        for order in (0, -1):
+            with pytest.raises(ValueError, match=f"order must be positive, got {order}"):
+                call(fam, order)
 
 
 def test_chain_factorization_spot_check():

@@ -17,6 +17,7 @@ from ncfree.freeprob import (
 )
 from ncfree.ncpartition import DEFAULT_MAX_GROUND_SET, Partition
 from ncfree.series import (
+    MAX_SERIES_WORDS,
     Series,
     _kernel_inverse,
     add,
@@ -95,6 +96,14 @@ def test_zeta_and_moebius_values():
     for n in range(1, 7):
         expect = (-1) ** (n - 1) * math.comb(2 * (n - 1), n - 1) // n
         assert coef(m, (1,) * n) == expect
+
+
+def test_dense_series_past_the_word_cap_raise():
+    # 16 + 16^2 + ... + 16^5 words, more than the cap: refused up front
+    message = f"alphabet 16 to order 5 has more than {MAX_SERIES_WORDS} words"
+    for call in (lambda: zeta(16, 5), lambda: moebius(16, 5), lambda: h_series(16, 5)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_moebius_inverts_zeta():
