@@ -17,7 +17,6 @@ from fractions import Fraction
 from .freeprob import CumulantModel
 from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .opvalued import OperatorMatrix, check_amalgamated_freeness, opvalued_cumulant_generic
-from .oracle import run_suite
 from .rcyclic import (
     MatrixFamily,
     determining_series,
@@ -391,6 +390,8 @@ def _cmd_opcumulant(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import run_suite  # the slow definitional checks load only here
+
     reports = run_suite(args.suite, args.order)
     failed = False
     for report in reports:

@@ -9,7 +9,9 @@ cyclic table with the same radii.
 
 Floating point lives only in this module; exact predictions are converted to
 floats at comparison time.  Per-trial RNG streams are derived from
-(seed, trial index), so trial order never changes the numbers.
+(seed, trial index), so trial order never changes the numbers.  numpy loads
+on the first sample, not on import: `McConfig`, `exact_family_moments` and
+`compare` on given samples run without it.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .oracle import OracleReport
 from .rcyclic import RCyclicFamily, determining_series, family_moments
 from .series import coef
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MIN_MATRIX_SIZE = 16
 MAX_MC_MOMENT = 8
@@ -68,6 +71,8 @@ class McConfig:
 
 
 def _sample_matrix(cfg: McConfig, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
     d, m = cfg.d, cfg.size
     blocks: list[list[np.ndarray | None]] = [[None] * d for _ in range(d)]
     for i in range(d):
@@ -95,6 +100,8 @@ def sample_block_moments(
     triple per n = 1..max_moment.  Standard error is +inf for a single trial."""
     if not 1 <= max_moment <= MAX_MC_MOMENT:
         raise ValueError(f"max moment must be in 1..{MAX_MC_MOMENT}, got {max_moment}")
+    import numpy as np
+
     per_trial = np.empty((cfg.trials, max_moment))
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, t])

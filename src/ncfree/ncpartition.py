@@ -14,7 +14,12 @@ NC(n) and its complements live only here, on 0-based block tuples: `nc_pairs`
 builds NC(n) by stack insertion and pairs each pi with the cycles of
 perm(pi)^-1 o gamma, read off an integer array of predecessors by
 `_complement`.  pi is non-crossing iff |pi| + |perm(pi)^-1 o gamma| = n + 1
-in cycle counts (Biane).
+in cycle counts (Biane).  `nc_pairs` checks its complements once per n, as a
+bijection: each lies in the NC(n) it generated and no two are equal.
+
+Blocks made here are canonical by construction, so the partitions that
+`enumerate_nc` and `kreweras` return skip the validation that `Partition(...)`
+and `Partition.of` run on outside blocks.
 """
 
 from __future__ import annotations
@@ -79,11 +84,15 @@ class Partition:
 
 
 def _zero_based(p: Partition) -> Blocks:
-    return tuple(tuple(e - 1 for e in b) for b in p.blocks)
+    return tuple([tuple([e - 1 for e in b]) for b in p.blocks])
 
 
 def _one_based(n: int, blocks: Blocks) -> Partition:
-    return Partition(n, tuple(tuple(e + 1 for e in b) for b in blocks))
+    # blocks are canonical 0-based blocks made in this module: no validation
+    p = object.__new__(Partition)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "blocks", tuple([tuple([e + 1 for e in b]) for b in blocks]))
+    return p
 
 
 def _complement(blocks: Blocks, n: int) -> Blocks:
@@ -106,9 +115,13 @@ def _complement(blocks: Blocks, n: int) -> Blocks:
     return tuple(out)
 
 
+def _is_noncrossing(blocks: Blocks, n: int) -> bool:
+    return len(blocks) + len(_complement(blocks, n)) == n + 1
+
+
 def is_noncrossing(p: Partition) -> bool:
     """True when no two blocks of p interleave."""
-    return len(p.blocks) + len(_complement(_zero_based(p), p.n)) == p.n + 1
+    return _is_noncrossing(_zero_based(p), p.n)
 
 
 @lru_cache(maxsize=DEFAULT_MAX_GROUND_SET)
@@ -116,7 +129,9 @@ def nc_pairs(n: int) -> tuple[tuple[Blocks, Blocks], ...]:
     """Each pi in NC(n) with its Kreweras complement, 0-based, lexicographic in pi.
 
     Stack insertion: element e opens a block or joins an open one, which
-    closes every block opened after it; each pi in NC(n) arises once.
+    closes every block opened after it; each pi in NC(n) arises once.  The
+    complements are checked as a whole: every one is in NC(n) and no two are
+    equal, so pi -> K(pi) is a bijection of NC(n).
     """
     if not 1 <= n <= DEFAULT_MAX_GROUND_SET:
         raise ValueError(f"n must be in 1..{DEFAULT_MAX_GROUND_SET}, got {n}")
@@ -129,13 +144,18 @@ def nc_pairs(n: int) -> tuple[tuple[Blocks, Blocks], ...]:
                 joined = blocks[:i] + (blocks[i] + (e,),) + blocks[i + 1 :]
                 grown.append((joined, open_[: t + 1]))
         level = grown
-    pairs = []
-    for blocks in sorted(blocks for blocks, _ in level):
-        co = _complement(blocks, n)
-        if len(co) + len(_complement(co, n)) != n + 1:
+    pairs = tuple((blocks, _complement(blocks, n)) for blocks in sorted(b for b, _ in level))
+    members = {blocks for blocks, _ in pairs}
+    owner: dict[Blocks, Blocks] = {}
+    for blocks, co in pairs:
+        if co not in members:
             raise RuntimeError(f"Kreweras complement of {blocks} is crossing: {co}")
-        pairs.append((blocks, co))
-    return tuple(pairs)
+        if co in owner:
+            raise RuntimeError(
+                f"Kreweras complement of {blocks} repeats that of {owner[co]}: {co}"
+            )
+        owner[co] = blocks
+    return pairs
 
 
 def enumerate_nc(n: int) -> tuple[Partition, ...]:
@@ -149,6 +169,6 @@ def kreweras(p: Partition) -> Partition:
     if len(p.blocks) + len(co) != p.n + 1:
         raise ValueError(f"partition is crossing: {p}")
     q = _one_based(p.n, co)
-    if not is_noncrossing(q):
+    if not _is_noncrossing(co, p.n):
         raise RuntimeError(f"Kreweras complement of {p} is crossing: {q}")
     return q

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .ncpartition import DEFAULT_MAX_GROUND_SET, nc_pairs
 
@@ -45,9 +45,11 @@ Word = tuple[int, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Zeta and Moebius store every word over their alphabet up to their order;
-# more words than this are refused before the first.
+# Zeta, Moebius and the constant-word series store every word of their kind
+# up to their order; more words or letters than these are refused before the
+# first word is made.
 MAX_SERIES_WORDS = 10**6
+MAX_SERIES_LETTERS = 10**7
 
 
 def format_rational(x: Fraction) -> str:
@@ -263,19 +265,30 @@ def truncate(f: Series, order: int) -> Series:
     return Series.of(f.alphabet, order, {w: v for w, v in f.items if len(w) <= order})
 
 
+def _refuse_oversize(what: str, order: int, count: Callable[[int], int]) -> None:
+    # count(n) words of length n for n = 1..order; raise at the first length
+    # that takes the totals past MAX_SERIES_WORDS words or MAX_SERIES_LETTERS
+    # letters, so huge orders cost no more than the cap.
+    words = letters = 0
+    for n in range(1, order + 1):
+        k = count(n)
+        words += k
+        letters += n * k
+        if words > MAX_SERIES_WORDS:
+            raise ValueError(f"{what} to order {order} has more than {MAX_SERIES_WORDS} words")
+        if letters > MAX_SERIES_LETTERS:
+            raise ValueError(
+                f"{what} to order {order} has more than {MAX_SERIES_LETTERS} letters"
+            )
+
+
 def _words_by_length(s: int, order: int) -> Iterator[tuple[int, Iterator[Word]]]:
-    # (n, the words of length n over s letters) for n = 1..order; more than
-    # MAX_SERIES_WORDS words in all raise before the first is made.  An empty
-    # alphabet has no words at any order, and Series.of refuses it.
+    # (n, the words of length n over s letters) for n = 1..order, refused past
+    # the size caps before the first is made.  An empty alphabet has no words
+    # at any order, and Series.of refuses it.
     if s < 1:
         return
-    size = 0
-    for n in range(1, order + 1):
-        size += s**n
-        if size > MAX_SERIES_WORDS:
-            raise ValueError(
-                f"alphabet {s} to order {order} has more than {MAX_SERIES_WORDS} words"
-            )
+    _refuse_oversize(f"alphabet {s}", order, lambda n: s**n)
     for n in range(1, order + 1):
         yield n, itertools.product(range(1, s + 1), repeat=n)
 
@@ -301,6 +314,7 @@ def delta(s: int, order: int) -> Series:
 
 def geometric(d: int, order: int) -> Series:
     """Coefficient 1 exactly on the constant words (i, i, ..., i)."""
+    _refuse_oversize(f"constant-word series over {d} letters", order, lambda n: d)
     out = {}
     for n in range(1, order + 1):
         for i in range(1, d + 1):

@@ -314,6 +314,15 @@ def test_cli_series_library_error_exit_code(argv, capsys):
     assert_usage_error(run(argv), capsys)
 
 
+@pytest.mark.parametrize("kind", ["Zeta", "Moebius", "Gd"])
+def test_cli_series_letter_cap_refuses_fast(kind, capsys):
+    # past series.MAX_SERIES_LETTERS: refused before the first word is made
+    t0 = time.perf_counter()
+    code = run(["series", "--kind", kind, "--s", "1", "--d", "1", "--order", "100000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert_usage_error(code, capsys)
+
+
 def test_cli_opcumulant_word_past_partition_cap(tmp_path, capsys):
     path = spec_file(tmp_path, ORDER13_SPEC)
     code = run(["opcumulant", "--spec", path, "--algebra", "B", "--word", ",".join(["1"] * 13)])
@@ -343,14 +352,24 @@ def test_cli_verify_order_past_partition_cap(order, capsys):
     assert_usage_error(run(["verify", "--order", str(order)]), capsys)
 
 
-def test_cli_import_leaves_numpy_out():
-    # numpy loads only for the mc subcommand
+def _loaded_after(imports: str, module: str) -> str:
+    # "True\n" when `module` is loaded after the imports in a fresh interpreter
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ncfree.__file__))}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ncfree.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, {imports}; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy loads only when mc samples
+    assert _loaded_after("ncfree, ncfree.cli, ncfree.mc", "numpy") == "False\n"
+
+
+def test_cli_import_leaves_oracle_out():
+    # the oracle loads only for the verify subcommand
+    assert _loaded_after("ncfree.cli", "ncfree.oracle") == "False\n"
 
 
 def test_bundled_scripts_run():

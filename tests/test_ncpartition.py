@@ -143,3 +143,27 @@ def test_invariants_raise_without_assert(monkeypatch):
     nc_pairs.cache_clear()
     with pytest.raises(RuntimeError, match="crossing"):
         nc_pairs(6)
+
+    # a forged complement that is non-crossing, with the right block count,
+    # but equal to the complement of {1,2}{3,4,5}{6}: no check on one pair
+    # can catch it, only the bijection check over all of NC(6)
+    repeated = real(((0, 1), (2, 3, 4), (5,)), 6)
+
+    def repeat(blocks, n):
+        return repeated if blocks == ((0, 1), (2, 3), (4, 5)) else real(blocks, n)
+
+    monkeypatch.setattr(ncp, "_complement", repeat)
+    nc_pairs.cache_clear()
+    with pytest.raises(RuntimeError, match=r"of \(\(0, 1\), \(2, 3, 4\), \(5,\)\) repeats"):
+        nc_pairs(6)
+
+
+def test_built_partitions_equal_validated_ones():
+    # enumerate_nc and kreweras skip validation on blocks they made canonical
+    for n in range(1, 9):
+        for p in enumerate_nc(n):
+            for q in (p, kreweras(p)):
+                checked = Partition(n, q.blocks)
+                assert q == checked
+                assert hash(q) == hash(checked)
+                assert str(q) == str(checked)
