@@ -11,7 +11,8 @@ Floating point lives only in this module; exact predictions are converted to
 floats at comparison time.  Per-trial RNG streams are derived from
 (seed, trial index), so trial order never changes the numbers.  numpy loads
 on the first sample, not on import: `McConfig`, `exact_family_moments` and
-`compare` on given samples run without it.
+`compare` on given samples run without it.  `oracle`, for its report type,
+loads on the first `compare`.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .oracle import OracleReport
 from .rcyclic import RCyclicFamily, determining_series, family_moments
 from .series import coef
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .oracle import OracleReport
 
 MIN_MATRIX_SIZE = 16
 MAX_MC_MOMENT = 8
@@ -151,6 +153,8 @@ def compare(
 ) -> list[OracleReport]:
     """One report per predicted moment: empirical mean must sit within
     3 * (standard error + C/M) of the exact value."""
+    from .oracle import OracleReport
+
     if samples is None:
         samples = sample_block_moments(cfg, max(predictions))
     by_n = {n: (mean, stderr) for n, mean, stderr in samples}

@@ -4,12 +4,14 @@ their diagonal subalgebra.
 For matrices with entries in a cumulant model, the entrywise state is a
 conditional expectation onto the scalar d x d matrices (algebra "B"); keeping
 only the diagonal gives the expectation onto diagonal scalar matrices
-(algebra "D").  Their cumulants are sums of scalar cumulants of entry
+(algebra "D").  opvalued_cumulant_generic sums scalar cumulants of entry
 chains: d^(n+1) chains for a B-valued cumulant of n arguments, d^n closed
-ones for a D-valued one, each inverted by first block over the chain's
-scalar moments (for D with the moments of open segments zeroed).  For zero
-or scaled single-generator entries the chain cumulants are also read off
-one walk over the model's table.
+ones for a D-valued one (the chains dcumulant_data records), each inverted
+by first block over the chain's scalar moments (for D with the moments of
+open segments zeroed), or read off the table for a B chain of zero or
+scaled single-generator entries.  dvalued_cumulant weights the closed
+chains of one walk over the model's table by diagonal scalars; it shares
+no code with the inversion, so each checks the other.
 
 The module also hosts the amalgamated-freeness word check and the
 reconstruction of a cyclic table from diagonal-valued cumulant data.  The
@@ -27,14 +29,13 @@ budget with more than MAX_SEARCH_WORDS words to visit before any product.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .freeprob import CumulantModel, NcPolynomial, phi_poly, product_sum
 from .ncpartition import DEFAULT_MAX_GROUND_SET
-from .rcyclic import _entries, _is_cyclic, _nonzero_chains, _scan
+from .rcyclic import _entries, _Entries, _is_cyclic, _nonzero_chains, _scan
 
 Word = tuple[int, ...]
 
@@ -265,9 +266,8 @@ def opvalued_cumulant_generic(xs: Sequence[OperatorMatrix], algebra: str) -> Sca
             idx = _chain(d, rword, path)
             rows[path[0] - 1][path[-1] - 1] += ents.cumulant(idx, memo, ents.moment, table_value)
     else:
-        for iword in itertools.product(range(1, d + 1), repeat=n):
-            idx = _chain(d, rword, iword[-1:] + iword)
-            rows[iword[-1] - 1][iword[-1] - 1] += ents.cumulant(idx, memo, ents.closed_moment)
+        for iword, val in _closed_chains(ents, d, rword, memo):
+            rows[iword[-1] - 1][iword[-1] - 1] += val
     return ScalarMatrix(d, tuple(map(tuple, rows)))
 
 
@@ -276,33 +276,12 @@ def _chain(d: int, rword: Word, path: Sequence[int]) -> tuple[int, ...]:
     return tuple(((r - 1) * d + path[t] - 1) * d + path[t + 1] - 1 for t, r in enumerate(rword))
 
 
-def bvalued_cumulant_entrywise(mats: Sequence[OperatorMatrix]) -> ScalarMatrix:
-    """Cumulant of zero or scaled single-generator entry matrices straight
-    from the scalar table: the (i, j) entry sums the cumulants of all entry
-    chains from i to j along the arguments."""
-    mats = _nonempty(mats)
-    d = mats[0].d
-    rows = [[_ZERO] * d for _ in range(d)]
-    for pairs, val in _argument_chains(mats):
-        rows[pairs[0][0] - 1][pairs[-1][1] - 1] += val
-    return ScalarMatrix(d, tuple(map(tuple, rows)))
-
-
-def _argument_chains(mats: Sequence[OperatorMatrix]):
-    # (index pairs, cumulant) of every entry chain along the arguments whose
-    # indices link and whose cumulant is nonzero, from one table walk over
-    # the distinct matrices
-    distinct = _distinct(mats)
-    rword = tuple(distinct.index(m) + 1 for m in mats)
-    ents = _entries(mats[0].model, [m.rows for m in distinct]).single_generators()
-    for rw, pairs, val in _nonzero_chains(ents, len(mats)):
-        if rw == rword and _linked(pairs):
-            yield pairs, val
-
-
-def _linked(pairs: Sequence[tuple[int, int]]) -> bool:
-    # each index pair's column meets the next one's row
-    return all(pairs[t][1] == pairs[t + 1][0] for t in range(len(pairs) - 1))
+def _closed_chains(ents: _Entries, d: int, rword: Word, memo: dict):
+    # (index word i, cumulant) of every closed chain entry(r_1; i_n, i_1), ...,
+    # entry(r_n; i_{n-1}, i_n): its first-block inversion with the moments
+    # of open gaps and tails taken as zero
+    for iword in itertools.product(range(1, d + 1), repeat=len(rword)):
+        yield iword, ents.cumulant(_chain(d, rword, iword[-1:] + iword), memo, ents.closed_moment)
 
 
 def check_chain_hypothesis(
@@ -314,13 +293,17 @@ def check_chain_hypothesis(
     entry(r_n; i_{n-1}, i_n) with j != i_n, over tuples drawn from the given
     matrices (r numbers the distinct matrices in order of first appearance).
     Returns (False, (r-word, j, index word)) on the first failure in
-    (length, r-word, index word, j) order.
+    (length, r-word, index word, j) order.  An order below 1 raises
+    ValueError.
     """
     mats = _nonempty(mats)
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
     ents = _entries(mats[0].model, [m.rows for m in _distinct(mats)]).single_generators()
     best = None
     for rword, pairs, _ in _nonzero_chains(ents, order):
-        if pairs[0][0] == pairs[-1][1] or not _linked(pairs):
+        # skip closed chains and those whose column misses the next row
+        if pairs[0][0] == pairs[-1][1] or any(a[1] != b[0] for a, b in zip(pairs, pairs[1:])):
             continue
         key = (len(rword), rword, tuple(j for _, j in pairs), pairs[0][0])
         if best is None or key < best:
@@ -339,11 +322,15 @@ def dvalued_cumulant(
 
     Requires the broken-chain cumulants to vanish (see check_chain_hypothesis);
     under that hypothesis the value is diagonal with (i, i) entry the sum over
-    chains closing at i of the chain cumulant times the diagonal weights.
+    chains closing at i of the chain cumulant times the diagonal weights,
+    from one walk over the model's table.  More arguments than the model
+    order raise ValueError before the walk.
     """
     mats = _nonempty(mats)
     n = len(mats)
-    d = mats[0].d
+    model, d = mats[0].model, mats[0].d
+    if n > model.order:
+        raise ValueError(f"{n} arguments exceed model order {model.order}")
     if lambdas is None:
         lambdas = [ScalarMatrix.identity(d)] * (n - 1)
     lambdas = list(lambdas)
@@ -354,55 +341,17 @@ def dvalued_cumulant(
     ok, witness = check_chain_hypothesis(mats, n)
     if not ok:
         raise ValueError(f"broken-chain cumulant does not vanish; witness {witness}")
+    distinct = _distinct(mats)
+    rword = tuple(distinct.index(m) + 1 for m in mats)
+    ents = _entries(model, [m.rows for m in distinct]).single_generators()
     diag = [_ZERO] * d
-    for pairs, val in _argument_chains(mats):
-        if not _is_cyclic(pairs):
+    for rw, pairs, val in _nonzero_chains(ents, n):
+        if rw != rword or not _is_cyclic(pairs):
             continue
         for t in range(n - 1):
             val *= lambdas[t].entry(pairs[t][1], pairs[t][1])
         diag[pairs[-1][1] - 1] += val
     return ScalarMatrix.diagonal(diag)
-
-
-def odot(mats: Sequence[OperatorMatrix]):
-    """Grid of formal chain sums: entry (i, j) maps each generator word that
-    labels an entry chain from i to j to its coefficient."""
-    mats = _nonempty(mats)
-    n = len(mats)
-    d = mats[0].d
-    ents = _entries(mats[0].model, [m.rows for m in mats]).single_generators()
-    scale = ents.dens[0] ** n
-    rword = tuple(range(1, n + 1))
-    grid: list[list[dict[Word, Fraction]]] = [[{} for _ in range(d)] for _ in range(d)]
-    for path in itertools.product(range(1, d + 1), repeat=n + 1):
-        coeffs, w = zip(*(ents.forms[t] for t in _chain(d, rword, path)))
-        if all(coeffs):
-            cell = grid[path[0] - 1][path[-1] - 1]
-            cell[w] = cell.get(w, _ZERO) + Fraction(math.prod(coeffs), scale)
-    return tuple(map(tuple, grid))
-
-
-def ktilde(model: CumulantModel, grid, algebra: str):
-    """Apply the scalar cumulant to each cell of an odot grid.
-
-    algebra 'B' keeps the full matrix, 'D' zeroes the off-diagonal cells, and
-    'C' returns the normalized trace of the diagonal as a rational.
-    """
-    d = len(grid)
-    table = model.table
-
-    def cell_value(cell: Mapping[Word, Fraction]) -> Fraction:
-        return sum((c * table.get(w, _ZERO) for w, c in cell.items()), _ZERO)
-
-    if algebra == "B":
-        return ScalarMatrix(
-            d, tuple(tuple(cell_value(grid[i][j]) for j in range(d)) for i in range(d))
-        )
-    if algebra == "D":
-        return ScalarMatrix.diagonal([cell_value(grid[i][i]) for i in range(d)])
-    if algebra == "C":
-        return sum((cell_value(grid[i][i]) for i in range(d)), _ZERO) / d
-    raise ValueError(f"algebra must be 'B', 'D' or 'C', got {algebra!r}")
 
 
 def _inner_monomials(gens: Sequence[OperatorMatrix], budget: int):
@@ -574,10 +523,12 @@ def dcumulant_data(
     the chain's first-block inversion with the moment of every gap or tail
     whose first row is not its last column taken as zero.  That is the
     chain's scalar cumulant, and the cyclic table, only on R-cyclic
-    families, so the table is not read.  An order above
+    families, so the table is not read.  An order below 1 or above
     MAX_CUMULANT_ARGS raises ValueError before any work.
     """
     mats = _nonempty(mats)
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
     if order > MAX_CUMULANT_ARGS:
         raise ValueError(f"order {order} exceeds the cap of {MAX_CUMULANT_ARGS} arguments")
     d = mats[0].d
@@ -586,8 +537,7 @@ def dcumulant_data(
     data: dict[tuple[Word, Word], Fraction] = {}
     for n in range(1, order + 1):
         for rword in itertools.product(range(1, len(mats) + 1), repeat=n):
-            for iword in itertools.product(range(1, d + 1), repeat=n):
-                val = ents.cumulant(_chain(d, rword, iword[-1:] + iword), memo, ents.closed_moment)
+            for iword, val in _closed_chains(ents, d, rword, memo):
                 if val:
                     data[(rword, iword)] = val
     return data

@@ -17,14 +17,11 @@ from ncfree.ncpartition import Partition, enumerate_nc, kreweras
 from ncfree.opvalued import (
     OperatorMatrix,
     ScalarMatrix,
-    bvalued_cumulant_entrywise,
     check_amalgamated_freeness,
     dcumulant_data,
     dvalued_cumulant,
     expect_b,
     expect_d,
-    ktilde,
-    odot,
     opvalued_cumulant_generic,
 )
 from ncfree.oracle import brute_force_family_moments, kreweras_by_search, nc_by_filter
@@ -310,7 +307,7 @@ def test_criterion_08_adjunction_closure(capsys):
 
 def test_criterion_09_matrix_valued_cumulants(capsys):
     with criterion(9, "matrix-valued cumulant formulas", capsys):
-        # full-matrix values against the defining recursion, random entries
+        # full-matrix values against the whole-block recursion, random entries
         for t in range(50):
             rng = random.Random(9000 + t)
             model = random_model(rng, 4, 4, per_length=3)
@@ -319,8 +316,8 @@ def test_criterion_09_matrix_valued_cumulants(capsys):
             fam = MatrixFamily.from_generator_entries(2, 1, model)
             x = family_matrix(fam)
             for n in (1, 2, 3, 4):
-                assert bvalued_cumulant_entrywise([x] * n) == opvalued_cumulant_generic(
-                    [x] * n, "B"
+                assert opvalued_cumulant_generic([x] * n, "B") == bvalued_cumulant_pi(
+                    Partition.whole(n), [x] * n
                 )
 
         # diagonal values under the vanishing-chain hypothesis, R-cyclic or not
@@ -331,7 +328,8 @@ def test_criterion_09_matrix_valued_cumulants(capsys):
                     [x] * n, "D"
                 )
 
-        # partitioned pieces reassemble the expectation; cells match ktilde
+        # partitioned pieces reassemble the expectation; the normalized trace
+        # of the diagonal cumulant is the scalar R-transform's coefficient
         mixed = mixed_2x2(4)
         x = family_matrix(mixed)
         for n in (2, 3, 4):
@@ -346,10 +344,12 @@ def test_criterion_09_matrix_valued_cumulants(capsys):
             assert total == expect_b(prod)
         r = family_rtransform(determining_series(mixed), 2)
         for n in (1, 2, 3, 4):
-            grid = odot([x] * n)
-            assert ktilde(mixed.model, grid, "B") == bvalued_cumulant_entrywise([x] * n)
-            assert ktilde(mixed.model, grid, "D") == dvalued_cumulant([x] * n)
-            assert ktilde(mixed.model, grid, "C") == coef(r, (1,) * n)
+            assert opvalued_cumulant_generic([x] * n, "B") == bvalued_cumulant_pi(
+                Partition.whole(n), [x] * n
+            )
+            dv = dvalued_cumulant([x] * n)
+            assert dv == opvalued_cumulant_generic([x] * n, "D")
+            assert (dv.entry(1, 1) + dv.entry(2, 2)) / 2 == coef(r, (1,) * n)
 
         # projection weights cut the diagonal cumulant down to the cyclic table
         table = cyclic_family(mixed).table

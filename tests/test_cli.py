@@ -368,8 +368,19 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_cli_import_leaves_oracle_out():
-    # the oracle loads only for the verify subcommand
+    # the oracle loads only for the verify subcommand and mc's comparison
     assert _loaded_after("ncfree.cli", "ncfree.oracle") == "False\n"
+    assert _loaded_after("ncfree.mc", "ncfree.oracle") == "False\n"
+
+
+def test_public_surface_resolves_once():
+    names = ncfree.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(ncfree, name)]
+    assert not missing
+    removed = {"bvalued_cumulant_entrywise", "odot", "ktilde"}
+    assert removed.isdisjoint(names)
+    assert not any(hasattr(ncfree, name) for name in removed)
 
 
 def test_bundled_scripts_run():

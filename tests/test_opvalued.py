@@ -15,7 +15,6 @@ from ncfree.opvalued import (
     MAX_SEARCH_WORDS,
     OperatorMatrix,
     ScalarMatrix,
-    bvalued_cumulant_entrywise,
     check_amalgamated_freeness,
     check_chain_hypothesis,
     _search_size,
@@ -24,8 +23,6 @@ from ncfree.opvalued import (
     dvalued_cumulant,
     expect_b,
     expect_d,
-    ktilde,
-    odot,
     opvalued_cumulant_generic,
 )
 from ncfree.rcyclic import (
@@ -35,6 +32,7 @@ from ncfree.rcyclic import (
     determining_series,
     entry_letter,
     family_moments,
+    family_rtransform,
     is_rcyclic,
 )
 from ncfree.series import coef
@@ -181,7 +179,7 @@ def test_chain_sums_match_dense_loops(fam, data):
         n = data.draw(st.integers(1, fam.model.order))
         args = data.draw(st.lists(st.sampled_from(mats), min_size=n, max_size=n))
     n = len(args)
-    assert bvalued_cumulant_entrywise(args) == bvalued_cumulant_pi(Partition.whole(n), args)
+    assert opvalued_cumulant_generic(args, "B") == bvalued_cumulant_pi(Partition.whole(n), args)
     weight = st.sampled_from([0, 1]) | mixed_values()
     lambdas = [
         ScalarMatrix.diagonal(data.draw(st.lists(weight, min_size=fam.d, max_size=fam.d)))
@@ -216,7 +214,7 @@ def test_chain_sums_match_dense_loops_at_d3_s2():
                 ]
                 dv = dvalued_cumulant(args, lambdas)
                 assert dv == dense_dvalued_cumulant(args, lambdas)
-                bv = bvalued_cumulant_entrywise(args)
+                bv = opvalued_cumulant_generic(args, "B")
                 assert bv == bvalued_cumulant_pi(Partition.whole(n), args)
                 nonzero_d += sum(1 for i in (1, 2, 3) if dv.entry(i, i))
                 nonzero_b += sum(1 for row in bv.rows for v in row if v)
@@ -248,11 +246,12 @@ def mean_one_family(order=8):
 
 def test_generic_cumulant_at_the_argument_cap():
     x = family_matrix(mean_one_family())
-    kb = bvalued_cumulant_entrywise([x] * 8)
-    assert opvalued_cumulant_generic([x] * 8, "B") == kb
+    # generator entries: every chain is read off the table
+    kb = opvalued_cumulant_generic([x] * 8, "B")
     assert opvalued_cumulant_generic([x] * 6, "D") == recursive_opvalued_cumulant([x] * 6, "D")
     # cumulants of two or more arguments vanish on the algebra's constants,
-    # so shifted entries, which the table cannot answer, give the same values
+    # so shifted entries, which the table cannot answer and the inversion
+    # does, give the same values
     def shifted(rows):
         return x.add(OperatorMatrix.from_scalar(x.model, ScalarMatrix.of(rows)))
 
@@ -261,7 +260,7 @@ def test_generic_cumulant_at_the_argument_cap():
     assert opvalued_cumulant_generic([shifted([[1, 0], [0, 4]])] * 8, "D") == kd
 
 
-def test_generic_cumulant_past_the_model_order():
+def test_generic_cumulant_past_the_model_order(monkeypatch):
     # the state still raises when a chain's product outgrows the model,
     # whether the entries are generators or polynomials
     x = family_matrix(mixed_2x2(4))
@@ -269,6 +268,12 @@ def test_generic_cumulant_past_the_model_order():
         for algebra in ("B", "D"):
             with pytest.raises(ValueError, match=f"word of length {length} exceeds model order 4"):
                 opvalued_cumulant_generic(args, algebra)
+    # dvalued_cumulant's table walk would find no chain there and read zero,
+    # so it refuses before walking
+    monkeypatch.setattr(opvalued, "_nonzero_chains", mock.Mock(side_effect=AssertionError("walked")))
+    for lambdas in (None, [ScalarMatrix.identity(2)] * 4):
+        with pytest.raises(ValueError, match="^5 arguments exceed model order 4$"):
+            dvalued_cumulant([x] * 5, lambdas)
 
 
 def seeded_table_matrices(seed, d, s, order):
@@ -327,19 +332,12 @@ def test_pi_cumulants_sum_to_expectation():
         assert total == expect_b(prod)
 
 
-def test_entrywise_b_formula_matches_generic():
-    for fam in (circular_2x2(4), diagonal_free_2x2(4), mixed_2x2(4)):
-        x = family_matrix(fam)
-        for n in (1, 2, 3, 4):
-            assert bvalued_cumulant_entrywise([x] * n) == opvalued_cumulant_generic([x] * n, "B")
-
-
 def test_bvalued_pi_whole_block_and_sum():
     fam = circular_2x2(4)
     x = family_matrix(fam)
     for n in (2, 3):
         whole = Partition.whole(n)
-        assert bvalued_cumulant_pi(whole, [x] * n) == bvalued_cumulant_entrywise([x] * n)
+        assert bvalued_cumulant_pi(whole, [x] * n) == opvalued_cumulant_generic([x] * n, "B")
         total = ScalarMatrix.zero(2)
         for p in enumerate_nc(n):
             total = total + bvalued_cumulant_pi(p, [x] * n)
@@ -392,6 +390,17 @@ def test_dvalued_matches_generic():
             assert dvalued_cumulant([x] * n) == opvalued_cumulant_generic([x] * n, "D")
 
 
+def test_chain_checks_refuse_nonpositive_orders():
+    # an empty range of orders would otherwise pass vacuously
+    x = family_matrix(mixed_2x2(4))
+    for order in (0, -1):
+        message = f"^order must be positive, got {order}$"
+        with pytest.raises(ValueError, match=message):
+            check_chain_hypothesis([x], order)
+        with pytest.raises(ValueError, match=message):
+            dcumulant_data([x], order)
+
+
 def test_dvalued_weights_validate():
     x = family_matrix(mixed_2x2(4))
     with pytest.raises(ValueError):
@@ -412,26 +421,14 @@ def test_dvalued_projection_weights_recover_cyclic_table():
             assert got.entry(iword[-1], iword[-1]) == expect
 
 
-def test_odot_and_ktilde_identities():
-    for fam in (circular_2x2(4), mixed_2x2(4)):
-        x = family_matrix(fam)
-        model = fam.model
-        for n in (1, 2, 3):
-            grid = odot([x] * n)
-            assert ktilde(model, grid, "B") == bvalued_cumulant_entrywise([x] * n)
-            assert ktilde(model, grid, "D") == dvalued_cumulant([x] * n)
-    with pytest.raises(ValueError):
-        ktilde(mixed_2x2(4).model, odot([family_matrix(mixed_2x2(4))]), "Q")
-
-
-def test_ktilde_c_matches_family_rtransform():
-    from ncfree.rcyclic import family_rtransform
-
+def test_dvalued_normalized_trace_matches_family_rtransform():
+    # the normalized trace of the diagonal-valued cumulant is the scalar one
     for fam in (circular_2x2(4), mixed_2x2(4)):
         x = family_matrix(fam)
         r = family_rtransform(determining_series(fam), 2)
         for n in (1, 2, 3, 4):
-            assert ktilde(fam.model, odot([x] * n), "C") == coef(r, (1,) * n)
+            dv = dvalued_cumulant([x] * n)
+            assert (dv.entry(1, 1) + dv.entry(2, 2)) / 2 == coef(r, (1,) * n)
 
 
 def test_amalgamated_freeness_on_corpus():
@@ -563,11 +560,9 @@ ENTRY_POINTS = (
     lambda mats: check_amalgamated_freeness(mats, 2),
     lambda mats: check_chain_hypothesis(mats, 2),
     lambda mats: dvalued_cumulant(mats),
-    lambda mats: odot(mats),
     lambda mats: dcumulant_data(mats, 2),
     lambda mats: opvalued_cumulant_generic(mats, "B"),
     lambda mats: opvalued_cumulant_generic(mats, "D"),
-    lambda mats: bvalued_cumulant_entrywise(mats),
 )
 
 
@@ -602,8 +597,6 @@ GENERATOR_ONLY_ENTRY_POINTS = (
     lambda mats: determining_series(_family_of(mats)),
     lambda mats: check_chain_hypothesis(mats, 2),
     lambda mats: dvalued_cumulant(mats),
-    lambda mats: bvalued_cumulant_entrywise(mats),
-    lambda mats: odot(mats),
 )
 
 
