@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import frozen
 from .freeprob import CumulantModel
 from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .opvalued import OperatorMatrix, check_amalgamated_freeness, opvalued_cumulant_generic
@@ -40,7 +40,7 @@ class SpecError(ValueError):
         super().__init__(f"line {lineno}: {message}")
 
 
-@dataclass(frozen=True)
+@frozen
 class CumulantDecl:
     """Joint cumulant of the listed matrix entries, in order."""
 
@@ -48,7 +48,7 @@ class CumulantDecl:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class SemicircularDecl:
     """Entry (i, i) of matrix r is semicircular with the given radius."""
 
@@ -57,7 +57,7 @@ class SemicircularDecl:
     radius: Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class CircularDecl:
     """Entries (i, j) and (j, i) of matrix r are a circular adjoint pair."""
 
@@ -70,7 +70,7 @@ class CircularDecl:
 Decl = CumulantDecl | SemicircularDecl | CircularDecl
 
 
-@dataclass(frozen=True)
+@frozen
 class SpecFile:
     order: int
     d: int
@@ -409,6 +409,13 @@ def _cmd_mc(args) -> int:
         return 2
     from . import mc as mcmod  # numpy loads only for this subcommand
 
+    if not 1 <= args.max_moment <= mcmod.MAX_MC_MOMENT:
+        # the sampler's range, checked before the exact moments are computed
+        print(
+            f"error: max moment must be in 1..{mcmod.MAX_MC_MOMENT}, got {args.max_moment}",
+            file=sys.stderr,
+        )
+        return 2
     spec = _load_spec(args.spec)
     if spec.s != 1:
         print("error: mc needs a spec with matrices 1", file=sys.stderr)

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
+from ._frozen import frozen
 from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .series import Series, _check_invertible, _kernel_inverse, _within_cap, over_lcm
 
@@ -46,7 +46,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@frozen
 class CumulantModel:
     """m generators with joint cumulants given sparsely up to a fixed order."""
 
@@ -94,7 +94,7 @@ class CumulantModel:
         return {}
 
 
-@dataclass(frozen=True)
+@frozen
 class NcPolynomial:
     """Polynomial in non-commuting generators; the empty word is the unit."""
 

@@ -12,16 +12,18 @@ floats at comparison time.  Per-trial RNG streams are derived from
 (seed, trial index), so trial order never changes the numbers.  numpy loads
 on the first sample, not on import: `McConfig`, `exact_family_moments` and
 `compare` on given samples run without it.  `oracle`, for its report type,
-loads on the first `compare`.
+loads on the first `compare`.  `McConfig.of` refuses a sampled dimension
+d * M above MAX_SAMPLE_DIM and more than MAX_TRIALS trials, before any
+memory is asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ._frozen import frozen
 from .rcyclic import RCyclicFamily, determining_series, family_moments
 from .series import coef
 
@@ -32,9 +34,13 @@ if TYPE_CHECKING:
 
 MIN_MATRIX_SIZE = 16
 MAX_MC_MOMENT = 8
+# a sampled matrix of dimension d*M holds 16 (d*M)^2 bytes, 256 MiB at the
+# cap; the trial cap bounds the per-trial moment array and the run time
+MAX_SAMPLE_DIM = 4096
+MAX_TRIALS = 10_000
 
 
-@dataclass(frozen=True)
+@frozen
 class McConfig:
     """Sampling configuration: block radii grid plus matrix size, trial count
     and master seed."""
@@ -67,8 +73,14 @@ class McConfig:
                     raise ValueError(f"radii grid not symmetric at ({i + 1},{j + 1})")
         if size < MIN_MATRIX_SIZE:
             raise ValueError(f"matrix size must be at least {MIN_MATRIX_SIZE}, got {size}")
+        if d * size > MAX_SAMPLE_DIM:
+            raise ValueError(
+                f"sampled dimension {d}*{size} = {d * size} exceeds the cap of {MAX_SAMPLE_DIM}"
+            )
         if trials < 1:
             raise ValueError(f"trial count must be positive, got {trials}")
+        if trials > MAX_TRIALS:
+            raise ValueError(f"trial count {trials} exceeds the cap of {MAX_TRIALS}")
         return cls(d, grid, size, trials, seed)
 
 

@@ -24,15 +24,16 @@ and `Partition.of` run on outside blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
+
+from ._frozen import frozen
 
 DEFAULT_MAX_GROUND_SET = 12
 Blocks = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Partition:
     """A set partition of {1, ..., n} in canonical block form."""
 

@@ -29,10 +29,10 @@ budget with more than MAX_SEARCH_WORDS words to visit before any product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._frozen import frozen
 from .freeprob import CumulantModel, NcPolynomial, phi_poly, product_sum
 from .ncpartition import DEFAULT_MAX_GROUND_SET
 from .rcyclic import _entries, _Entries, _is_cyclic, _nonzero_chains, _scan
@@ -51,7 +51,7 @@ MAX_CUMULANT_ARGS = 8
 MAX_SEARCH_WORDS = 10**5
 
 
-@dataclass(frozen=True)
+@frozen
 class ScalarMatrix:
     """d x d matrix of rationals."""
 
@@ -152,7 +152,7 @@ def _distinct(mats: Sequence[OperatorMatrix]) -> list[OperatorMatrix]:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class OperatorMatrix:
     """d x d matrix with polynomial entries over one cumulant model."""
 
@@ -300,18 +300,24 @@ def check_chain_hypothesis(
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     ents = _entries(mats[0].model, [m.rows for m in _distinct(mats)]).single_generators()
-    best = None
-    for rword, pairs, _ in _nonzero_chains(ents, order):
-        # skip closed chains and those whose column misses the next row
-        if pairs[0][0] == pairs[-1][1] or any(a[1] != b[0] for a, b in zip(pairs, pairs[1:])):
-            continue
-        key = (len(rword), rword, tuple(j for _, j in pairs), pairs[0][0])
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return True, None
-    _, rword, iword, j = best
-    return False, (rword, j, iword)
+    keys = (_broken_key(rword, pairs) for rword, pairs, _ in _nonzero_chains(ents, order))
+    best = min((key for key in keys if key is not None), default=None)
+    return best is None, _broken_witness(best)
+
+
+def _broken_key(rword: Word, pairs) -> tuple | None:
+    # (length, r-word, index word, j) of a chain whose every column meets the
+    # next row but whose last column is not its first row j; None otherwise
+    if pairs[0][0] == pairs[-1][1] or any(a[1] != b[0] for a, b in zip(pairs, pairs[1:])):
+        return None
+    return (len(rword), rword, tuple(j for _, j in pairs), pairs[0][0])
+
+
+def _broken_witness(key: tuple | None) -> tuple[Word, int, Word] | None:
+    if key is None:
+        return None
+    _, rword, iword, j = key
+    return rword, j, iword
 
 
 def dvalued_cumulant(
@@ -322,9 +328,11 @@ def dvalued_cumulant(
 
     Requires the broken-chain cumulants to vanish (see check_chain_hypothesis);
     under that hypothesis the value is diagonal with (i, i) entry the sum over
-    chains closing at i of the chain cumulant times the diagonal weights,
-    from one walk over the model's table.  More arguments than the model
-    order raise ValueError before the walk.
+    chains closing at i of the chain cumulant times the diagonal weights.
+    One walk over the model's table makes that sum and finds the least
+    broken chain, which raises ValueError with check_chain_hypothesis's
+    witness.  More arguments than the model order, or weights that are not
+    diagonal d x d matrices, raise ValueError before the walk.
     """
     mats = _nonempty(mats)
     n = len(mats)
@@ -338,19 +346,25 @@ def dvalued_cumulant(
         raise ValueError(f"need {n - 1} diagonal weights, got {len(lambdas)}")
     if any(not lam.is_diagonal() for lam in lambdas):
         raise ValueError("weights must be diagonal scalar matrices")
-    ok, witness = check_chain_hypothesis(mats, n)
-    if not ok:
-        raise ValueError(f"broken-chain cumulant does not vanish; witness {witness}")
+    if any(lam.d != d for lam in lambdas):
+        raise ValueError(f"weights must be {d} x {d}")
     distinct = _distinct(mats)
     rword = tuple(distinct.index(m) + 1 for m in mats)
     ents = _entries(model, [m.rows for m in distinct]).single_generators()
+    best = None
     diag = [_ZERO] * d
     for rw, pairs, val in _nonzero_chains(ents, n):
-        if rw != rword or not _is_cyclic(pairs):
-            continue
-        for t in range(n - 1):
-            val *= lambdas[t].entry(pairs[t][1], pairs[t][1])
-        diag[pairs[-1][1] - 1] += val
+        key = _broken_key(rw, pairs)
+        if key is not None:
+            if best is None or key < best:
+                best = key
+        elif rw == rword and _is_cyclic(pairs):
+            for t in range(n - 1):
+                val *= lambdas[t].entry(pairs[t][1], pairs[t][1])
+            diag[pairs[-1][1] - 1] += val
+    if best is not None:
+        witness = _broken_witness(best)
+        raise ValueError(f"broken-chain cumulant does not vanish; witness {witness}")
     return ScalarMatrix.diagonal(diag)
 
 

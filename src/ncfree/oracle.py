@@ -10,11 +10,11 @@ modules, which is the point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from ._frozen import frozen
 from .ncpartition import Partition
 
 Word = tuple[int, ...]
@@ -25,7 +25,7 @@ MAX_SUITE_ORDER = 8
 MAX_INVERSION_ORDER = 5
 
 
-@dataclass(frozen=True)
+@frozen
 class OracleReport:
     """One comparison between an oracle value and an engine value."""
 

@@ -29,11 +29,11 @@ each inverted from its moments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
+from ._frozen import frozen
 from .freeprob import (
     CumulantModel,
     NcPolynomial,
@@ -76,7 +76,7 @@ class PartialSumError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class MatrixFamily:
     """s matrices of size d x d with polynomial entries over one model."""
 
@@ -118,7 +118,7 @@ class MatrixFamily:
         return self.grids[r - 1][i - 1][j - 1]
 
 
-@dataclass(frozen=True)
+@frozen
 class RCyclicFamily:
     """The cyclic table of a family, indexed by (matrix word, index word)."""
 

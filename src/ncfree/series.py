@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
+from ._frozen import frozen
 from .ncpartition import DEFAULT_MAX_GROUND_SET, nc_pairs
 
 Word = tuple[int, ...]
@@ -73,7 +73,7 @@ def over_lcm(items: Iterable[tuple[Word, Fraction]]) -> tuple[int, dict[Word, in
     return den, {w: v.numerator * (den // v.denominator) for w, v in items}
 
 
-@dataclass(frozen=True)
+@frozen
 class Series:
     """Sparse truncated series; items are sorted by word length then word."""
 

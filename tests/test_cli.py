@@ -267,6 +267,30 @@ def test_cli_mc_needs_two_trials(tmp_path, capsys, trials):
     assert_usage_error(run(argv), capsys)
 
 
+@pytest.mark.parametrize("max_moment", ["-1", "0", "9", "12", "13"])
+def test_cli_mc_max_moment_refuses_fast(max_moment, tmp_path, capsys):
+    # outside 1..mc.MAX_MC_MOMENT: refused before the exact moments, which
+    # take seconds at 12 letters
+    path = spec_file(tmp_path, CIRC_SPEC)
+    argv = ["mc", "--spec", path, "--size", "16", "--trials", "2", "--max-moment", max_moment]
+    t0 = time.process_time()
+    code = run(argv)
+    assert time.process_time() - t0 < 1.0
+    assert_usage_error(code, capsys)
+
+
+@pytest.mark.parametrize("option", [("--size", "2049"), ("--size", "20000"), ("--trials", "10001")])
+def test_cli_mc_refuses_oversized_samples(option, tmp_path, capsys):
+    # past mc.MAX_SAMPLE_DIM (d * size, d = 2 here) or mc.MAX_TRIALS: refused
+    # before any exact work or sampling
+    path = spec_file(tmp_path, CIRC_SPEC)
+    argv = ["mc", "--spec", path, "--size", "16", "--trials", "2", "--max-moment", "4", *option]
+    t0 = time.process_time()
+    code = run(argv)
+    assert time.process_time() - t0 < 1.0
+    assert_usage_error(code, capsys)
+
+
 def test_cli_mc_rejects_general_cumulants(tmp_path, capsys):
     bad = spec_file(tmp_path, "order 2\ndim 1\nmatrices 1\ncumulant 1:1,1 = 1\n")
     assert run(["mc", "--spec", bad]) == 2
@@ -365,6 +389,12 @@ def _loaded_after(imports: str, module: str) -> str:
 def test_cli_import_leaves_numpy_out():
     # numpy loads only when mc samples
     assert _loaded_after("ncfree, ncfree.cli, ncfree.mc", "numpy") == "False\n"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the value classes come from ncfree._frozen, which needs neither
+    for module in ("dataclasses", "inspect"):
+        assert _loaded_after("ncfree, ncfree.cli, ncfree.mc", module) == "False\n"
 
 
 def test_cli_import_leaves_oracle_out():

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from ncfree.mc import (
+    MAX_SAMPLE_DIM,
+    MAX_TRIALS,
     McConfig,
     compare,
     exact_family_moments,
@@ -29,6 +31,12 @@ def test_config_validation():
     neg = ((Fraction(-1), Fraction(2)), (Fraction(2), Fraction(1)))
     with pytest.raises(ValueError):
         McConfig.of(2, neg, 32, 2, 1)
+    # oversized samples: d * M past MAX_SAMPLE_DIM, or more than MAX_TRIALS
+    McConfig.of(2, RADII_2, MAX_SAMPLE_DIM // 2, MAX_TRIALS, 1)
+    with pytest.raises(ValueError, match="^sampled dimension 2\\*2049 = 4098 exceeds the cap of 4096$"):
+        McConfig.of(2, RADII_2, MAX_SAMPLE_DIM // 2 + 1, 2, 1)
+    with pytest.raises(ValueError, match="^trial count 10001 exceeds the cap of 10000$"):
+        McConfig.of(2, RADII_2, 32, MAX_TRIALS + 1, 1)
 
 
 def test_exact_moments_single_semicircular():

@@ -28,6 +28,7 @@ from ncfree.opvalued import (
 from ncfree.rcyclic import (
     MatrixFamily,
     RCyclicFamily,
+    _nonzero_chains,
     cyclic_family,
     determining_series,
     entry_letter,
@@ -191,8 +192,8 @@ def test_chain_sums_match_dense_loops(fam, data):
         return
     with pytest.raises(ValueError, match="broken-chain"):
         dvalued_cumulant(args, lambdas)
-    # the weighted chain sum itself, past its hypothesis
-    with mock.patch.object(opvalued, "check_chain_hypothesis", lambda mats, order: (True, None)):
+    # the weighted chain sum itself, past its hypothesis: no chain counts as broken
+    with mock.patch.object(opvalued, "_broken_key", lambda rword, pairs: None):
         assert dvalued_cumulant(args, lambdas) == expect
 
 
@@ -407,6 +408,32 @@ def test_dvalued_weights_validate():
         dvalued_cumulant([x, x], [ScalarMatrix.unit(2, 1, 2)])
     with pytest.raises(ValueError):
         dvalued_cumulant([x, x], [ScalarMatrix.identity(2)] * 2)
+    with pytest.raises(ValueError, match="^weights must be 2 x 2$"):
+        dvalued_cumulant([x, x], [ScalarMatrix.identity(1)])
+
+
+def test_dvalued_walks_the_table_once(monkeypatch):
+    # one walk both sums the closed chains and looks for a broken one
+    walks = []
+
+    def counted(ents, n_max):
+        walks.append(n_max)
+        return _nonzero_chains(ents, n_max)
+
+    monkeypatch.setattr(opvalued, "_nonzero_chains", counted)
+    x = family_matrix(mixed_2x2(4))
+    for n in (1, 2, 3, 4):
+        walks.clear()
+        assert dvalued_cumulant([x] * n) == opvalued_cumulant_generic([x] * n, "D")
+        assert walks == [n]
+    # k2(a11, a12) = 1, as in test_chain_hypothesis_witness
+    model = CumulantModel.of(4, 2, {(1, 2): 1})
+    broken = family_matrix(MatrixFamily.from_generator_entries(2, 1, model))
+    walks.clear()
+    witness = r"\(\(1, 1\), 1, \(1, 2\)\)"
+    with pytest.raises(ValueError, match=f"^broken-chain cumulant does not vanish; witness {witness}$"):
+        dvalued_cumulant([broken, broken])
+    assert walks == [2]
 
 
 def test_dvalued_projection_weights_recover_cyclic_table():
