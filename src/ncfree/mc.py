@@ -13,8 +13,9 @@ floats at comparison time.  Per-trial RNG streams are derived from
 on the first sample, not on import: `McConfig`, `exact_family_moments` and
 `compare` on given samples run without it.  `oracle`, for its report type,
 loads on the first `compare`.  `McConfig.of` refuses a sampled dimension
-d * M above MAX_SAMPLE_DIM and more than MAX_TRIALS trials, before any
-memory is asked for.
+d * M above MAX_SAMPLE_DIM, more than MAX_TRIALS trials and a sampling cost
+trials * (d * M)^3 above MAX_SAMPLE_COST, before any memory is asked for or
+any exact work is done.
 """
 
 from __future__ import annotations
@@ -35,9 +36,16 @@ if TYPE_CHECKING:
 MIN_MATRIX_SIZE = 16
 MAX_MC_MOMENT = 8
 # a sampled matrix of dimension d*M holds 16 (d*M)^2 bytes, 256 MiB at the
-# cap; the trial cap bounds the per-trial moment array and the run time
+# cap; the trial cap bounds the per-trial moment array
 MAX_SAMPLE_DIM = 4096
 MAX_TRIALS = 10_000
+# each trial diagonalizes a matrix of dimension d*M, so trials * (d*M)^3
+# bounds the run time: about 0.3 s of wall time per 10^9 on a 2-core Xeon,
+# 30 s at the cap.  10^11 admits the CLI defaults (d = 2, M = 512, 20
+# trials: about 2.1e10), the `scripts/mc_crosscheck.py` sweep and the
+# benchmark's requests, and refuses d = 2, M = 2048 with 20 trials (about
+# 1.4e12), which the caps above admit
+MAX_SAMPLE_COST = 10**11
 
 
 @frozen
@@ -81,6 +89,12 @@ class McConfig:
             raise ValueError(f"trial count must be positive, got {trials}")
         if trials > MAX_TRIALS:
             raise ValueError(f"trial count {trials} exceeds the cap of {MAX_TRIALS}")
+        cost = trials * (d * size) ** 3
+        if cost > MAX_SAMPLE_COST:
+            raise ValueError(
+                f"sampling cost {trials}*({d}*{size})^3 = {cost:.2e} exceeds the cap of "
+                f"{MAX_SAMPLE_COST:.0e}"
+            )
         return cls(d, grid, size, trials, seed)
 
 

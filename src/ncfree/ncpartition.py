@@ -12,10 +12,14 @@ right of perm(pi) gives the forward cycle gamma: 1 -> 2 -> ... -> n -> 1.
 
 NC(n) and its complements live only here, on 0-based block tuples: `nc_pairs`
 builds NC(n) by stack insertion and pairs each pi with the cycles of
-perm(pi)^-1 o gamma, read off an integer array of predecessors by
-`_complement`.  pi is non-crossing iff |pi| + |perm(pi)^-1 o gamma| = n + 1
-in cycle counts (Biane).  `nc_pairs` checks its complements once per n, as a
-bijection: each lies in the NC(n) it generated and no two are equal.
+perm(pi)^-1 o gamma, which `_complement` walks off an integer array.  For a
+non-crossing pi those cycles are perm(K(pi)), so each runs upward from its
+least element and the walk returns canonical blocks without sorting.  pi is
+non-crossing iff |pi| + |perm(pi)^-1 o gamma| = n + 1 in cycle counts
+(Biane), and that count does not depend on the order within a block.
+`nc_pairs` checks its complements once per n, as a bijection: sorted, they
+are exactly the distinct partitions it generated.  A non-canonical block is
+not in NC(n), so that check would catch a walk that ever returned one.
 
 Blocks made here are canonical by construction, so the partitions that
 `enumerate_nc` and `kreweras` return skip the validation that `Partition(...)`
@@ -25,6 +29,7 @@ and `Partition.of` run on outside blocks.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import eq
 from typing import Iterable
 
 from ._frozen import frozen
@@ -97,22 +102,34 @@ def _one_based(n: int, blocks: Blocks) -> Partition:
 
 
 def _complement(blocks: Blocks, n: int) -> Blocks:
-    """Canonical blocks of the cycles of perm(pi)^-1 o gamma, all 0-based."""
+    """Blocks of the cycles of perm(pi)^-1 o gamma, all 0-based.
+
+    Each walk starts at the least element not yet seen, so it starts at the
+    least element of its cycle.  For a non-crossing pi the cycles are those
+    of perm(K(pi)), which run upward, so the blocks come out canonical with
+    no sort.  For a crossing pi the blocks may not be increasing, but callers
+    read only their number.  Were a walk ever to return a non-canonical block
+    for a non-crossing pi, that complement would not be among the canonical
+    partitions `nc_pairs` generates, and its bijection check would raise.
+    """
     pred = [0] * n  # perm(pi)^-1
     for b in blocks:
-        for prev, e in zip(b[-1:] + b[:-1], b):
+        prev = b[-1]
+        for e in b:
             pred[e] = prev
-    seen = [False] * n
+            prev = e
+    sigma = pred[1:] + pred[:1]  # perm(pi)^-1 o gamma: k -> pred[(k + 1) mod n]
     out = []
     for start in range(n):
-        orbit = []
-        k = start
-        while not seen[k]:
-            seen[k] = True
+        k = sigma[start]
+        if k < 0:  # seen: a walked element's sigma is set to -1
+            continue
+        sigma[start] = -1
+        orbit = [start]
+        while k != start:
             orbit.append(k)
-            k = pred[(k + 1) % n]
-        if orbit:
-            out.append(tuple(sorted(orbit)))
+            sigma[k], k = -1, sigma[k]
+        out.append(tuple(orbit))
     return tuple(out)
 
 
@@ -131,8 +148,8 @@ def nc_pairs(n: int) -> tuple[tuple[Blocks, Blocks], ...]:
 
     Stack insertion: element e opens a block or joins an open one, which
     closes every block opened after it; each pi in NC(n) arises once.  The
-    complements are checked as a whole: every one is in NC(n) and no two are
-    equal, so pi -> K(pi) is a bijection of NC(n).
+    complements are checked as a whole: sorted, they equal the generated
+    partitions, which are distinct, so pi -> K(pi) is a bijection of NC(n).
     """
     if not 1 <= n <= DEFAULT_MAX_GROUND_SET:
         raise ValueError(f"n must be in 1..{DEFAULT_MAX_GROUND_SET}, got {n}")
@@ -145,17 +162,22 @@ def nc_pairs(n: int) -> tuple[tuple[Blocks, Blocks], ...]:
                 joined = blocks[:i] + (blocks[i] + (e,),) + blocks[i + 1 :]
                 grown.append((joined, open_[: t + 1]))
         level = grown
-    pairs = tuple((blocks, _complement(blocks, n)) for blocks in sorted(b for b, _ in level))
-    members = {blocks for blocks, _ in pairs}
-    owner: dict[Blocks, Blocks] = {}
-    for blocks, co in pairs:
-        if co not in members:
-            raise RuntimeError(f"Kreweras complement of {blocks} is crossing: {co}")
-        if co in owner:
-            raise RuntimeError(
-                f"Kreweras complement of {blocks} repeats that of {owner[co]}: {co}"
-            )
-        owner[co] = blocks
+    parts = sorted(b for b, _ in level)
+    cos = [_complement(b, n) for b in parts]
+    pairs = tuple(zip(parts, cos))
+    if sorted(cos) != parts or any(map(eq, parts, parts[1:])):
+        # not a bijection of distinct partitions: name the first bad pair,
+        # which a mismatch always has
+        members = set(parts)
+        owner: dict[Blocks, Blocks] = {}
+        for blocks, co in pairs:
+            if co not in members:
+                raise RuntimeError(f"Kreweras complement of {blocks} is crossing: {co}")
+            if co in owner:
+                raise RuntimeError(
+                    f"Kreweras complement of {blocks} repeats that of {owner[co]}: {co}"
+                )
+            owner[co] = blocks
     return pairs
 
 

@@ -291,6 +291,20 @@ def test_cli_mc_refuses_oversized_samples(option, tmp_path, capsys):
     assert_usage_error(code, capsys)
 
 
+@pytest.mark.parametrize("size, trials", [("2048", "20"), ("2048", "2"), ("1024", "12")])
+def test_cli_mc_refuses_costly_samples(size, trials, tmp_path, capsys):
+    # within MAX_SAMPLE_DIM and MAX_TRIALS but past mc.MAX_SAMPLE_COST at d = 2:
+    # refused before any exact work or sampling, in one error line
+    path = spec_file(tmp_path, CIRC_SPEC)
+    argv = ["mc", "--spec", path, "--size", size, "--trials", trials]
+    t0 = time.process_time()
+    code = run(argv)
+    assert time.process_time() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: sampling cost ") and captured.err.count("\n") == 1
+
+
 def test_cli_mc_rejects_general_cumulants(tmp_path, capsys):
     bad = spec_file(tmp_path, "order 2\ndim 1\nmatrices 1\ncumulant 1:1,1 = 1\n")
     assert run(["mc", "--spec", bad]) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ncfree.mc import (
+    MAX_SAMPLE_COST,
     MAX_SAMPLE_DIM,
     MAX_TRIALS,
     McConfig,
@@ -31,12 +32,21 @@ def test_config_validation():
     neg = ((Fraction(-1), Fraction(2)), (Fraction(2), Fraction(1)))
     with pytest.raises(ValueError):
         McConfig.of(2, neg, 32, 2, 1)
-    # oversized samples: d * M past MAX_SAMPLE_DIM, or more than MAX_TRIALS
-    McConfig.of(2, RADII_2, MAX_SAMPLE_DIM // 2, MAX_TRIALS, 1)
+    # oversized samples: d * M past MAX_SAMPLE_DIM, more than MAX_TRIALS, or
+    # trials * (d * M)^3 past MAX_SAMPLE_COST; each cap at its own boundary,
+    # with the other values small
+    McConfig.of(2, RADII_2, MAX_SAMPLE_DIM // 2, 1, 1)
     with pytest.raises(ValueError, match="^sampled dimension 2\\*2049 = 4098 exceeds the cap of 4096$"):
-        McConfig.of(2, RADII_2, MAX_SAMPLE_DIM // 2 + 1, 2, 1)
+        McConfig.of(2, RADII_2, MAX_SAMPLE_DIM // 2 + 1, 1, 1)
+    McConfig.of(2, RADII_2, 32, MAX_TRIALS, 1)
     with pytest.raises(ValueError, match="^trial count 10001 exceeds the cap of 10000$"):
         McConfig.of(2, RADII_2, 32, MAX_TRIALS + 1, 1)
+    one = ((Fraction(2),),)
+    assert 100 * 1000**3 == MAX_SAMPLE_COST
+    McConfig.of(1, one, 1000, 100, 1)
+    refused = r"^sampling cost 101\*\(1\*1000\)\^3 = 1\.01e\+11 exceeds the cap of 1e\+11$"
+    with pytest.raises(ValueError, match=refused):
+        McConfig.of(1, one, 1000, 101, 1)
 
 
 def test_exact_moments_single_semicircular():

@@ -2,8 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncfree import oracle
-from ncfree.ncpartition import Partition, enumerate_nc, is_noncrossing, kreweras, nc_pairs
-from helpers import PartitionPermutation, perm_of, recursive_nc_pairs
+from ncfree.ncpartition import (
+    DEFAULT_MAX_GROUND_SET,
+    Partition,
+    _complement,
+    _zero_based,
+    enumerate_nc,
+    is_noncrossing,
+    kreweras,
+    nc_pairs,
+)
+from helpers import PartitionPermutation, perm_of, recursive_nc_pairs, sorted_orbit_complement
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -68,6 +77,35 @@ def test_enumeration_rejects_large_n():
 def test_nc_pairs_match_recursive_pipeline():
     for n in range(1, 10):
         assert nc_pairs(n) == recursive_nc_pairs(n)
+
+
+def test_complement_walk_matches_sorted_orbits():
+    # on NC(n) the sort-free walk returns exactly the sorted orbits
+    for n in range(1, 11):
+        for blocks, co in nc_pairs(n):
+            assert co == _complement(blocks, n) == sorted_orbit_complement(blocks, n)
+    # on crossing partitions too it finds the same number of orbits
+    for n in range(1, 8):
+        for p in oracle.all_set_partitions(n):
+            blocks = _zero_based(p)
+            assert len(_complement(blocks, n)) == len(sorted_orbit_complement(blocks, n)), p
+
+
+def test_kreweras_past_enumeration_cap():
+    # kreweras and is_noncrossing walk one partition, with no NC(n) table
+    for n in range(DEFAULT_MAX_GROUND_SET + 1, DEFAULT_MAX_GROUND_SET + 5):
+        gamma = PartitionPermutation.forward_cycle(n)
+        nested = Partition.of(n, [[1, n], [2, n - 1], range(3, n - 1)])
+        for p in (Partition.singletons(n), Partition.whole(n), nested):
+            assert is_noncrossing(p)
+            q = kreweras(p)
+            assert perm_of(p).compose(perm_of(q)) == gamma
+        assert kreweras(Partition.singletons(n)) == Partition.whole(n)
+        assert kreweras(Partition.whole(n)) == Partition.singletons(n)
+        crossing = Partition.of(n, [[1, 3], [2, 4], range(5, n + 1)])
+        assert not is_noncrossing(crossing)
+        with pytest.raises(ValueError, match="crossing"):
+            kreweras(crossing)
 
 
 def test_perm_of_cycles_blocks():
@@ -155,6 +193,27 @@ def test_invariants_raise_without_assert(monkeypatch):
     monkeypatch.setattr(ncp, "_complement", repeat)
     nc_pairs.cache_clear()
     with pytest.raises(RuntimeError, match=r"of \(\(0, 1\), \(2, 3, 4\), \(5,\)\) repeats"):
+        nc_pairs(6)
+
+
+def test_nc_pairs_rejects_non_canonical_complement(monkeypatch):
+    # a walk that returned one block out of order would give a block outside
+    # NC(6), with the right block count; the bijection check must catch it
+    import ncfree.ncpartition as ncp
+
+    target = ((0, 1), (2, 3), (4, 5))
+    real = ncp._complement
+
+    def reverse_one_block(blocks, n):
+        co = real(blocks, n)
+        if blocks != target:
+            return co
+        i = next(t for t, b in enumerate(co) if len(b) > 1)
+        return co[:i] + (co[i][::-1],) + co[i + 1 :]
+
+    monkeypatch.setattr(ncp, "_complement", reverse_one_block)
+    nc_pairs.cache_clear()
+    with pytest.raises(RuntimeError, match=r"of \(\(0, 1\), \(2, 3\), \(4, 5\)\) is crossing"):
         nc_pairs(6)
 
 
