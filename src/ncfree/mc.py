@@ -40,11 +40,11 @@ MAX_MC_MOMENT = 8
 MAX_SAMPLE_DIM = 4096
 MAX_TRIALS = 10_000
 # each trial diagonalizes a matrix of dimension d*M, so trials * (d*M)^3
-# bounds the run time: about 0.3 s of wall time per 10^9 on a 2-core Xeon,
-# 30 s at the cap.  10^11 admits the CLI defaults (d = 2, M = 512, 20
-# trials: about 2.1e10), the `scripts/mc_crosscheck.py` sweep and the
-# benchmark's requests, and refuses d = 2, M = 2048 with 20 trials (about
-# 1.4e12), which the caps above admit
+# bounds the run time: one trial at d*M = 4096 (about 6.9e10) took about
+# 10 s of wall time on a 2-core Xeon.  10^11 admits the CLI defaults (d = 2,
+# M = 512, 20 trials: about 2.1e10), the `scripts/mc_crosscheck.py` sweep
+# and the benchmark's requests, and refuses d = 2, M = 2048 with 20 trials
+# (about 1.4e12), which the caps above admit
 MAX_SAMPLE_COST = 10**11
 
 

@@ -17,9 +17,11 @@ non-crossing pi those cycles are perm(K(pi)), so each runs upward from its
 least element and the walk returns canonical blocks without sorting.  pi is
 non-crossing iff |pi| + |perm(pi)^-1 o gamma| = n + 1 in cycle counts
 (Biane), and that count does not depend on the order within a block.
-`nc_pairs` checks its complements once per n, as a bijection: sorted, they
-are exactly the distinct partitions it generated.  A non-canonical block is
-not in NC(n), so that check would catch a walk that ever returned one.
+`nc_pairs` checks its complements once per n, as a bijection: each lies in
+the NC(n) it generated and no two are equal.  A non-canonical block is not
+in NC(n), so that check would catch a walk that returned one, but only in
+the tables `nc_pairs` builds (n <= DEFAULT_MAX_GROUND_SET); `kreweras` takes
+the walk's blocks as they come.
 
 Blocks made here are canonical by construction, so the partitions that
 `enumerate_nc` and `kreweras` return skip the validation that `Partition(...)`
@@ -29,7 +31,6 @@ and `Partition.of` run on outside blocks.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import eq
 from typing import Iterable
 
 from ._frozen import frozen
@@ -108,9 +109,10 @@ def _complement(blocks: Blocks, n: int) -> Blocks:
     least element of its cycle.  For a non-crossing pi the cycles are those
     of perm(K(pi)), which run upward, so the blocks come out canonical with
     no sort.  For a crossing pi the blocks may not be increasing, but callers
-    read only their number.  Were a walk ever to return a non-canonical block
-    for a non-crossing pi, that complement would not be among the canonical
-    partitions `nc_pairs` generates, and its bijection check would raise.
+    read only their number.  Were a walk to return a non-canonical block for
+    a non-crossing pi, that complement would not be among the partitions
+    `nc_pairs` generates, and its bijection check would raise; that check
+    covers only the NC(n) tables `nc_pairs` builds, not `kreweras`.
     """
     pred = [0] * n  # perm(pi)^-1
     for b in blocks:
@@ -148,8 +150,8 @@ def nc_pairs(n: int) -> tuple[tuple[Blocks, Blocks], ...]:
 
     Stack insertion: element e opens a block or joins an open one, which
     closes every block opened after it; each pi in NC(n) arises once.  The
-    complements are checked as a whole: sorted, they equal the generated
-    partitions, which are distinct, so pi -> K(pi) is a bijection of NC(n).
+    complements are checked as a whole: every one is in NC(n) and no two are
+    equal, so pi -> K(pi) is a bijection of NC(n).
     """
     if not 1 <= n <= DEFAULT_MAX_GROUND_SET:
         raise ValueError(f"n must be in 1..{DEFAULT_MAX_GROUND_SET}, got {n}")
@@ -165,19 +167,16 @@ def nc_pairs(n: int) -> tuple[tuple[Blocks, Blocks], ...]:
     parts = sorted(b for b, _ in level)
     cos = [_complement(b, n) for b in parts]
     pairs = tuple(zip(parts, cos))
-    if sorted(cos) != parts or any(map(eq, parts, parts[1:])):
-        # not a bijection of distinct partitions: name the first bad pair,
-        # which a mismatch always has
-        members = set(parts)
-        owner: dict[Blocks, Blocks] = {}
-        for blocks, co in pairs:
-            if co not in members:
-                raise RuntimeError(f"Kreweras complement of {blocks} is crossing: {co}")
-            if co in owner:
-                raise RuntimeError(
-                    f"Kreweras complement of {blocks} repeats that of {owner[co]}: {co}"
-                )
-            owner[co] = blocks
+    members = set(parts)
+    owner: dict[Blocks, Blocks] = {}
+    for blocks, co in pairs:
+        if co not in members:
+            raise RuntimeError(f"Kreweras complement of {blocks} is crossing: {co}")
+        if co in owner:
+            raise RuntimeError(
+                f"Kreweras complement of {blocks} repeats that of {owner[co]}: {co}"
+            )
+        owner[co] = blocks
     return pairs
 
 

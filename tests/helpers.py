@@ -395,31 +395,6 @@ def perm_of(p: Partition) -> PartitionPermutation:
     return PartitionPermutation(p.n, tuple(images))
 
 
-def sorted_orbit_complement(
-    blocks: tuple[tuple[int, ...], ...], n: int
-) -> tuple[tuple[int, ...], ...]:
-    """Cycles of perm(pi)^-1 o gamma on 0-based blocks, each orbit sorted.
-
-    The reference for `ncpartition._complement`, which walks without a sort.
-    """
-    pred = [0] * n  # perm(pi)^-1
-    for b in blocks:
-        for prev, e in zip(b[-1:] + b[:-1], b):
-            pred[e] = prev
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        orbit = []
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            orbit.append(k)
-            k = pred[(k + 1) % n]
-        if orbit:
-            out.append(tuple(sorted(orbit)))
-    return tuple(out)
-
-
 def gen_coef(f: Series, w: Iterable[int], p: Partition) -> Fraction:
     """Product of coefficients of f over the restrictions of w to the blocks of p."""
     word = tuple(w)

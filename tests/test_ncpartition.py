@@ -5,14 +5,12 @@ from ncfree import oracle
 from ncfree.ncpartition import (
     DEFAULT_MAX_GROUND_SET,
     Partition,
-    _complement,
-    _zero_based,
     enumerate_nc,
     is_noncrossing,
     kreweras,
     nc_pairs,
 )
-from helpers import PartitionPermutation, perm_of, recursive_nc_pairs, sorted_orbit_complement
+from helpers import PartitionPermutation, perm_of, recursive_nc_pairs
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -75,20 +73,8 @@ def test_enumeration_rejects_large_n():
 
 
 def test_nc_pairs_match_recursive_pipeline():
-    for n in range(1, 10):
-        assert nc_pairs(n) == recursive_nc_pairs(n)
-
-
-def test_complement_walk_matches_sorted_orbits():
-    # on NC(n) the sort-free walk returns exactly the sorted orbits
     for n in range(1, 11):
-        for blocks, co in nc_pairs(n):
-            assert co == _complement(blocks, n) == sorted_orbit_complement(blocks, n)
-    # on crossing partitions too it finds the same number of orbits
-    for n in range(1, 8):
-        for p in oracle.all_set_partitions(n):
-            blocks = _zero_based(p)
-            assert len(_complement(blocks, n)) == len(sorted_orbit_complement(blocks, n)), p
+        assert nc_pairs(n) == recursive_nc_pairs(n)
 
 
 def test_kreweras_past_enumeration_cap():
@@ -99,6 +85,7 @@ def test_kreweras_past_enumeration_cap():
         for p in (Partition.singletons(n), Partition.whole(n), nested):
             assert is_noncrossing(p)
             q = kreweras(p)
+            assert q == Partition(n, q.blocks)  # canonical, though never validated
             assert perm_of(p).compose(perm_of(q)) == gamma
         assert kreweras(Partition.singletons(n)) == Partition.whole(n)
         assert kreweras(Partition.whole(n)) == Partition.singletons(n)
@@ -195,23 +182,15 @@ def test_invariants_raise_without_assert(monkeypatch):
     with pytest.raises(RuntimeError, match=r"of \(\(0, 1\), \(2, 3, 4\), \(5,\)\) repeats"):
         nc_pairs(6)
 
+    # the real complement with one block reversed: non-canonical, so outside
+    # NC(6), with the right block count
+    reversed_block = tuple(b[::-1] for b in real(((0, 1), (2, 3), (4, 5)), 6))
+    assert reversed_block != real(((0, 1), (2, 3), (4, 5)), 6)
 
-def test_nc_pairs_rejects_non_canonical_complement(monkeypatch):
-    # a walk that returned one block out of order would give a block outside
-    # NC(6), with the right block count; the bijection check must catch it
-    import ncfree.ncpartition as ncp
+    def reverse(blocks, n):
+        return reversed_block if blocks == ((0, 1), (2, 3), (4, 5)) else real(blocks, n)
 
-    target = ((0, 1), (2, 3), (4, 5))
-    real = ncp._complement
-
-    def reverse_one_block(blocks, n):
-        co = real(blocks, n)
-        if blocks != target:
-            return co
-        i = next(t for t, b in enumerate(co) if len(b) > 1)
-        return co[:i] + (co[i][::-1],) + co[i + 1 :]
-
-    monkeypatch.setattr(ncp, "_complement", reverse_one_block)
+    monkeypatch.setattr(ncp, "_complement", reverse)
     nc_pairs.cache_clear()
     with pytest.raises(RuntimeError, match=r"of \(\(0, 1\), \(2, 3\), \(4, 5\)\) is crossing"):
         nc_pairs(6)
