@@ -335,6 +335,80 @@ def assert_usage_error(code, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+SHORTHAND_HEAD = "order 4\ndim 2\nmatrices 1\n"
+
+
+CLI_ERROR_CASES = [
+    # the argument checks of the subcommand handlers
+    (None, ["series", "--kind", "Gd", "--d", "0", "--order", "3"],
+     "--d must be positive for Gd/Hd"),
+    (CIRC_SPEC, ["rcyclic", "moments", "--order", "7"], "moments needs order in 1..6, got 7"),
+    (CIRC_SPEC, ["check", "amalg-freeness", "--budget", "0"],
+     "--budget must be in 1..6 (the spec order), got 0"),
+    (CIRC_SPEC, ["opcumulant", "--algebra", "B", "--word", "1,x"],
+     "bad --word '1,x', want r1,r2,..."),
+    (CIRC_SPEC, ["opcumulant", "--algebra", "B", "--word", "1,2"],
+     "matrix indices must be in 1..1"),
+    (CIRC_SPEC, ["opcumulant", "--algebra", "D", "--word", "1,1,1,1,1,1,1"],
+     "word longer than spec order 6"),
+    (CIRC_SPEC, ["mc", "--trials", "1"], "mc needs --trials of at least 2, got 1"),
+    (CIRC_SPEC, ["mc", "--max-moment", "0"], "max moment must be in 1..8, got 0"),
+    ("order 2\ndim 1\nmatrices 2\n", ["mc"], "mc needs a spec with matrices 1"),
+    ("order 2\ndim 1\nmatrices 1\ncumulant 1:1,1 = 1\n", ["mc"],
+     "mc needs semicircular/circular declarations only"),
+    # the shorthand checks, in the order parse_spec makes them
+    (SHORTHAND_HEAD + "semicircular r=1 i=1 radius\n", ["rcyclic", "check"],
+     "line 4: want: semicircular r=<r> i=<i> radius <p>/<q>"),
+    (SHORTHAND_HEAD + "circular r=1 i=1 j=2 radius 1 2\n", ["rcyclic", "check"],
+     "line 4: want: circular r=<r> i=<i> j=<j> radius <p>/<q>"),
+    (SHORTHAND_HEAD + "semicircular i=1 r=1 radius 1\n", ["rcyclic", "check"],
+     "line 4: expected r=<int>, got 'i=1'"),
+    (SHORTHAND_HEAD + "semicircular r=1 i=x radius 1\n", ["rcyclic", "check"],
+     "line 4: expected i=<int>, got 'i=x'"),
+    (SHORTHAND_HEAD + "circular r=1 i=1 k=2 radius 1\n", ["rcyclic", "check"],
+     "line 4: expected j=<int>, got 'k=2'"),
+    (SHORTHAND_HEAD + "semicircular r=2 i=3 radius 1\n", ["rcyclic", "check"],
+     "line 4: matrix index 2 out of range 1..1"),
+    (SHORTHAND_HEAD + "circular r=0 i=1 j=3 radius 1\n", ["rcyclic", "check"],
+     "line 4: matrix index 0 out of range 1..1"),
+    (SHORTHAND_HEAD + "semicircular r=1 i=3 radius 1\n", ["rcyclic", "check"],
+     "line 4: index 3 out of range 1..2"),
+    (SHORTHAND_HEAD + "circular r=1 i=1 j=3 radius 1\n", ["rcyclic", "check"],
+     "line 4: entry (1,3) out of range 1..2"),
+    (SHORTHAND_HEAD + "circular r=1 i=2 j=2 radius 1\n", ["rcyclic", "check"],
+     "line 4: circular shorthand needs i != j"),
+    (SHORTHAND_HEAD.replace("order 4", "order 1") + "semicircular r=1 i=1 radius x\n",
+     ["rcyclic", "check"], "line 4: semicircular shorthand needs order >= 2"),
+    (SHORTHAND_HEAD.replace("order 4", "order 1") + "circular r=1 i=1 j=2 radius x\n",
+     ["rcyclic", "check"], "line 4: circular shorthand needs order >= 2"),
+    (SHORTHAND_HEAD + "semicircular r=1 i=1 radius 1/0\n", ["rcyclic", "check"],
+     "line 4: bad radius '1/0'"),
+    (SHORTHAND_HEAD + "circular r=1 i=1 j=2 radius two\n", ["rcyclic", "check"],
+     "line 4: bad radius 'two'"),
+    (SHORTHAND_HEAD + "semicircular r=1 i=1 radius -1/2\n", ["rcyclic", "check"],
+     "line 4: radius must be non-negative"),
+    (SHORTHAND_HEAD + "circular r=1 i=1 j=2 radius -2\n", ["rcyclic", "check"],
+     "line 4: radius must be non-negative"),
+    # the entry-token checks of cumulant lines
+    (SHORTHAND_HEAD + "cumulant 1:1 = 1\n", ["rcyclic", "check"],
+     "line 4: bad entry token '1:1', want r:i,j"),
+    (SHORTHAND_HEAD + "cumulant 1:1,1 2:1,1 = 1\n", ["rcyclic", "check"],
+     "line 4: matrix index 2 out of range 1..1"),
+    (SHORTHAND_HEAD + "cumulant 1:3,1 = 1\n", ["rcyclic", "check"],
+     "line 4: entry (3,1) out of range 1..2"),
+]
+
+
+@pytest.mark.parametrize("spec, argv, line", CLI_ERROR_CASES, ids=[c[2] for c in CLI_ERROR_CASES])
+def test_cli_error_lines(spec, argv, line, tmp_path, capsys):
+    # each refusal is exactly one stderr line, from run(), with nothing on stdout
+    if spec is not None:
+        argv = [*argv, "--spec", spec_file(tmp_path, spec)]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
