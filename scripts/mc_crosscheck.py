@@ -9,26 +9,10 @@ empirical deviation from the exact value next to the acceptance tolerance.
 
 import argparse
 import sys
+from pathlib import Path
 
-from ncfree.cli import _load_spec, build_model
+from ncfree.cli import mc_radii, parse_spec
 from ncfree.mc import McConfig, compare, exact_family_moments, sample_block_moments
-
-
-def radii_from_spec(path: str):
-    spec = _load_spec(path)
-    if spec.s != 1:
-        raise SystemExit("sampling covers a single matrix; use a one-matrix spec")
-    from ncfree.cli import CumulantDecl
-
-    if any(isinstance(d, CumulantDecl) for d in spec.decls):
-        raise SystemExit("sampling needs semicircular/circular declarations only")
-    from fractions import Fraction
-
-    radii = [[Fraction(0)] * spec.d for _ in range(spec.d)]
-    for decl in spec.decls:
-        radii[decl.i - 1][getattr(decl, "j", decl.i) - 1] = decl.radius
-        radii[getattr(decl, "j", decl.i) - 1][decl.i - 1] = decl.radius
-    return spec.d, tuple(tuple(row) for row in radii)
 
 
 def main() -> int:
@@ -40,7 +24,11 @@ def main() -> int:
     ap.add_argument("--max-moment", type=int, default=6, dest="max_moment")
     args = ap.parse_args()
 
-    d, radii = radii_from_spec(args.spec)
+    try:
+        spec = parse_spec(Path(args.spec).read_text(encoding="utf-8"))
+        d, radii = spec.d, mc_radii(spec)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     sizes = [int(tok) for tok in args.sizes.split(",")]
     base = McConfig.of(d, radii, sizes[0], args.trials, args.seed)
     exact = exact_family_moments(base, args.max_moment)

@@ -69,6 +69,9 @@ class CircularDecl:
 
 Decl = CumulantDecl | SemicircularDecl | CircularDecl
 
+# shorthand directive -> (its declaration, the letters of its index keys in order)
+_SHORTHANDS = {"semicircular": (SemicircularDecl, "ri"), "circular": (CircularDecl, "rij")}
+
 
 @frozen
 class SpecFile:
@@ -85,6 +88,15 @@ def _parse_value(token: str, lineno: int, what: str) -> Fraction:
         raise SpecError(lineno, f"bad {what} {token!r}") from None
 
 
+def _check_indices(lineno: int, d: int, s: int, r: int, *ij: int) -> None:
+    # matrix r, then the entry (i, j), or the one diagonal index i
+    if not 1 <= r <= s:
+        raise SpecError(lineno, f"matrix index {r} out of range 1..{s}")
+    if not all(1 <= x <= d for x in ij):
+        where = f"index {ij[0]}" if len(ij) == 1 else f"entry ({ij[0]},{ij[1]})"
+        raise SpecError(lineno, f"{where} out of range 1..{d}")
+
+
 def _parse_entry_token(token: str, d: int, s: int, lineno: int) -> tuple[int, int, int]:
     # <r>:<i>,<j>
     try:
@@ -93,10 +105,7 @@ def _parse_entry_token(token: str, d: int, s: int, lineno: int) -> tuple[int, in
         r, i, j = int(r_text), int(i_text), int(j_text)
     except ValueError:
         raise SpecError(lineno, f"bad entry token {token!r}, want r:i,j") from None
-    if not 1 <= r <= s:
-        raise SpecError(lineno, f"matrix index {r} out of range 1..{s}")
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise SpecError(lineno, f"entry ({i},{j}) out of range 1..{d}")
+    _check_indices(lineno, d, s, r, i, j)
     return r, i, j
 
 
@@ -178,41 +187,21 @@ def parse_spec(text: str) -> SpecFile:
             entries = tuple(_parse_entry_token(t, d, s, lineno) for t in entry_tokens)
             value = _parse_value(tokens[split_at + 1], lineno, "cumulant value")
             decl: Decl = CumulantDecl(entries, value)
-        elif head == "semicircular":
-            if len(tokens) != 5 or tokens[3] != "radius":
-                raise SpecError(lineno, "want: semicircular r=<r> i=<i> radius <p>/<q>")
-            r = _parse_assigned(tokens[1], "r", lineno)
-            i = _parse_assigned(tokens[2], "i", lineno)
-            if not 1 <= r <= s:
-                raise SpecError(lineno, f"matrix index {r} out of range 1..{s}")
-            if not 1 <= i <= d:
-                raise SpecError(lineno, f"index {i} out of range 1..{d}")
-            if order < 2:
-                raise SpecError(lineno, "semicircular shorthand needs order >= 2")
-            radius = _parse_value(tokens[4], lineno, "radius")
-            if radius < 0:
-                raise SpecError(lineno, "radius must be non-negative")
-            decl = SemicircularDecl(r, i, radius)
-        elif head == "circular":
-            if len(tokens) != 6 or tokens[4] != "radius":
-                raise SpecError(
-                    lineno, "want: circular r=<r> i=<i> j=<j> radius <p>/<q>"
-                )
-            r = _parse_assigned(tokens[1], "r", lineno)
-            i = _parse_assigned(tokens[2], "i", lineno)
-            j = _parse_assigned(tokens[3], "j", lineno)
-            if not 1 <= r <= s:
-                raise SpecError(lineno, f"matrix index {r} out of range 1..{s}")
-            if not (1 <= i <= d and 1 <= j <= d):
-                raise SpecError(lineno, f"entry ({i},{j}) out of range 1..{d}")
-            if i == j:
+        elif head in _SHORTHANDS:
+            cls, keys = _SHORTHANDS[head]
+            if len(tokens) != len(keys) + 3 or tokens[-2] != "radius":
+                want = " ".join(f"{k}=<{k}>" for k in keys)
+                raise SpecError(lineno, f"want: {head} {want} radius <p>/<q>")
+            indices = [_parse_assigned(t, k, lineno) for t, k in zip(tokens[1:], keys)]
+            _check_indices(lineno, d, s, *indices)
+            if len(indices) == 3 and indices[1] == indices[2]:
                 raise SpecError(lineno, "circular shorthand needs i != j")
             if order < 2:
-                raise SpecError(lineno, "circular shorthand needs order >= 2")
-            radius = _parse_value(tokens[5], lineno, "radius")
+                raise SpecError(lineno, f"{head} shorthand needs order >= 2")
+            radius = _parse_value(tokens[-1], lineno, "radius")
             if radius < 0:
                 raise SpecError(lineno, "radius must be non-negative")
-            decl = CircularDecl(r, i, j, radius)
+            decl = cls(*indices, radius)
         else:
             raise SpecError(lineno, f"unknown directive {head!r}")
         for word in _expansion_words(decl, d):
@@ -295,8 +284,7 @@ def _fmt_pairs(pairs) -> str:
 
 def _cmd_series(args) -> int:
     if args.kind in ("Gd", "Hd") and args.d < 1:
-        print("error: --d must be positive for Gd/Hd", file=sys.stderr)
-        return 2
+        raise ValueError("--d must be positive for Gd/Hd")
     if args.kind == "Zeta":
         f = zeta(args.s, args.order)
     elif args.kind == "Moebius":
@@ -321,8 +309,7 @@ def _cmd_rcyclic(args) -> int:
     if args.action in ("moments", "rtransform"):
         top = min(top, DEFAULT_MAX_GROUND_SET)  # the convolutions' NC(n) cap
     if not 1 <= order <= top:
-        print(f"error: {args.action} needs order in 1..{top}, got {order}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.action} needs order in 1..{top}, got {order}")
     if args.action == "check":
         ok, witness = is_rcyclic(fam, order)
         if ok:
@@ -353,12 +340,7 @@ def _cmd_rcyclic(args) -> int:
 def _cmd_check(args) -> int:
     spec = _load_spec(args.spec)
     if args.budget < 1 or args.budget > spec.order:
-        print(
-            f"error: --budget must be in 1..{spec.order} (the spec order), "
-            f"got {args.budget}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--budget must be in 1..{spec.order} (the spec order), got {args.budget}")
     gens = _family_matrices(spec)
     ok, witness = check_amalgamated_freeness(gens, args.budget)
     if ok:
@@ -374,14 +356,11 @@ def _cmd_opcumulant(args) -> int:
     try:
         rword = tuple(int(t) for t in args.word.split(","))
     except ValueError:
-        print(f"error: bad --word {args.word!r}, want r1,r2,...", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad --word {args.word!r}, want r1,r2,...") from None
     if not rword or any(not 1 <= r <= spec.s for r in rword):
-        print(f"error: matrix indices must be in 1..{spec.s}", file=sys.stderr)
-        return 2
+        raise ValueError(f"matrix indices must be in 1..{spec.s}")
     if len(rword) > spec.order:
-        print(f"error: word longer than spec order {spec.order}", file=sys.stderr)
-        return 2
+        raise ValueError(f"word longer than spec order {spec.order}")
     gens = _family_matrices(spec)
     km = opvalued_cumulant_generic([gens[r - 1] for r in rword], args.algebra)
     for i in range(1, spec.d + 1):
@@ -402,38 +381,32 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def mc_radii(spec: SpecFile) -> list[list[Fraction]]:
+    """The d x d radius grid of a one-matrix spec of semicircular and circular
+    declarations, the input of `mc.McConfig.of`; any other spec raises
+    ValueError."""
+    if spec.s != 1:
+        raise ValueError("mc needs a spec with matrices 1")
+    radii = [[Fraction(0)] * spec.d for _ in range(spec.d)]
+    for decl in spec.decls:
+        if isinstance(decl, CumulantDecl):
+            raise ValueError("mc needs semicircular/circular declarations only")
+        j = decl.j if isinstance(decl, CircularDecl) else decl.i
+        radii[decl.i - 1][j - 1] = radii[j - 1][decl.i - 1] = decl.radius
+    return radii
+
+
 def _cmd_mc(args) -> int:
     if args.trials < 2:
         # one trial has an infinite standard error, so every tolerance passes
-        print(f"error: mc needs --trials of at least 2, got {args.trials}", file=sys.stderr)
-        return 2
+        raise ValueError(f"mc needs --trials of at least 2, got {args.trials}")
     from . import mc as mcmod  # numpy loads only for this subcommand
 
     if not 1 <= args.max_moment <= mcmod.MAX_MC_MOMENT:
         # the sampler's range, checked before the exact moments are computed
-        print(
-            f"error: max moment must be in 1..{mcmod.MAX_MC_MOMENT}, got {args.max_moment}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"max moment must be in 1..{mcmod.MAX_MC_MOMENT}, got {args.max_moment}")
     spec = _load_spec(args.spec)
-    if spec.s != 1:
-        print("error: mc needs a spec with matrices 1", file=sys.stderr)
-        return 2
-    radii = [[Fraction(0)] * spec.d for _ in range(spec.d)]
-    for decl in spec.decls:
-        if isinstance(decl, SemicircularDecl):
-            radii[decl.i - 1][decl.i - 1] = decl.radius
-        elif isinstance(decl, CircularDecl):
-            radii[decl.i - 1][decl.j - 1] = decl.radius
-            radii[decl.j - 1][decl.i - 1] = decl.radius
-        else:
-            print(
-                "error: mc needs semicircular/circular declarations only",
-                file=sys.stderr,
-            )
-            return 2
-    cfg = mcmod.McConfig.of(spec.d, radii, args.size, args.trials, args.seed)
+    cfg = mcmod.McConfig.of(spec.d, mc_radii(spec), args.size, args.trials, args.seed)
     exact = mcmod.exact_family_moments(cfg, args.max_moment)
     samples = mcmod.sample_block_moments(cfg, args.max_moment)
     reports = mcmod.compare(cfg, exact, samples)
@@ -509,7 +482,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
-        # library ValueErrors (SpecError included) are bad input: usage errors
+        # every ValueError is bad input, a usage error: the library's, SpecError
+        # and the handlers' own argument checks; this is the one error line
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
