@@ -22,10 +22,9 @@ hold the first letter and are not the whole word (Nica-Speicher, Lectures on
 the Combinatorics of Free Probability, Lecture 11).  That inversion is the
 one `rcyclic.closure_check` runs on index tuples.
 
-The boxed inverse lives here too, because it may run through the cumulant
+The boxed inverse lives here too, because it runs through the cumulant
 series: the inverse of f is the R-transform of the inverse of f's
-R-transform, and the NC(n) inversion kernel of `series` runs on whichever of
-the two series stores fewer words.
+R-transform, found by the NC(n) inversion kernel of `series`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,14 @@ from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from ._frozen import frozen
 from .ncpartition import DEFAULT_MAX_GROUND_SET
-from .series import Series, _check_invertible, _kernel_inverse, _within_cap, over_lcm
+from .series import (
+    Series,
+    _check_invertible,
+    _kernel_inverse,
+    _within_cap,
+    _words_by_length,
+    over_lcm,
+)
 
 Word = tuple[int, ...]
 
@@ -364,7 +370,8 @@ def r_transform(m: Series) -> Series:
     one integer over L^|w| and is made a Fraction once.  V grows only while
     its letters spell a prefix of a nonzero lower-degree cumulant, and a
     vanishing gap cuts every block through it.  Equals the boxed convolution
-    of m with the Moebius series.  An order above DEFAULT_MAX_GROUND_SET
+    of m with the Moebius series.  An order above DEFAULT_MAX_GROUND_SET, or
+    more words or letters over the alphabet than the caps of `series.zeta`,
     raises ValueError before any cumulant is computed.
     """
     _within_cap(m.order)
@@ -379,9 +386,9 @@ def r_transform(m: Series) -> Series:
     memo: dict[Word, int] = {}
     prefixes: set[Word] = set()
     out: dict[Word, Fraction] = {}
-    for n in range(1, m.order + 1):
+    for n, words in _words_by_length(s, m.order):
         found = []
-        for w in itertools.product(range(1, s + 1), repeat=n):
+        for w in words:
             kappa = _scaled_cumulant(w, memo, moment, prefixes=prefixes)
             if kappa:
                 found.append(w)
@@ -401,20 +408,14 @@ def boxed_inverse(f: Series) -> Series:
         f^-1 = (r [*] zeta)^-1 = r^-1 [*] Moebius = r_transform(r^-1)
 
     (Nica-Speicher, Lectures on the Combinatorics of Free Probability, the
-    lectures on the boxed convolution).  The degree-by-degree NC(n) kernel
-    fills blocks from its operand's stored words, so it runs on r when r
-    stores fewer words than f, as the dense moment series of a sparse
-    cumulant model do, and on f otherwise; both give the same series.  r has
-    f's degree-1 coefficients, so the choice does not change invertibility.
-    Every degree-1 coefficient must be nonzero; an order above
-    DEFAULT_MAX_GROUND_SET raises ValueError, and both checks run before any
-    cumulant is computed.
+    lectures on the boxed convolution).  The NC(n) inversion kernel runs on
+    r, which has f's degree-1 coefficients and is sparse where f is a
+    model's dense moment series.  Every degree-1 coefficient must be
+    nonzero; that check, the order cap and the size caps of `r_transform`
+    run before any cumulant is computed.
     """
     _check_invertible(f)
-    r = r_transform(f)
-    if len(r.items) < len(f.items):
-        return r_transform(_kernel_inverse(r))
-    return _kernel_inverse(f)
+    return r_transform(_kernel_inverse(r_transform(f)))
 
 
 def m_from_r(r: Series) -> Series:
@@ -424,14 +425,15 @@ def m_from_r(r: Series) -> Series:
     r, so each word of the alphabet up to the order is one first-block
     recursion over the table's prefixes, on integers (see `phi_word`).
     Equals the boxed convolution of r with the zeta series.  An order above
-    DEFAULT_MAX_GROUND_SET raises ValueError before any state is computed.
+    DEFAULT_MAX_GROUND_SET, or more words or letters over the alphabet than
+    the caps of `series.zeta`, raises ValueError before any state is computed.
     """
     _within_cap(r.order)
     model = CumulantModel(r.alphabet, r.order, r.items)
     den = model.numerators[0]
     out: dict[Word, Fraction] = {}
-    for n in range(1, r.order + 1):
-        for w in itertools.product(range(1, r.alphabet + 1), repeat=n):
+    for n, words in _words_by_length(r.alphabet, r.order):
+        for w in words:
             num = _phi_numerator(model, w)
             if num:
                 out[w] = Fraction(num, den**n)

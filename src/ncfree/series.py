@@ -12,9 +12,8 @@ product of ordinary coefficients over the restrictions of w to the blocks.
 One kernel walks NC(n) at a single degree: the convolutions run it at every
 degree, and the inversion kernel runs it on a series and the inverse's own
 lower degrees to solve degree n.  The public boxed inverse lives in
-`freeprob`, which runs that kernel on the series or on its cumulant series,
-whichever stores fewer words.  Orders above DEFAULT_MAX_GROUND_SET raise
-before any work.
+`freeprob`, which runs that kernel on the series' cumulant series.  Orders
+above DEFAULT_MAX_GROUND_SET raise before any work.
 
 The extended variant pairs a series over s*d letters (encoded pairs (r, i)
 with r outer: letter = (r-1)*d + i) with a series over d letters; the second

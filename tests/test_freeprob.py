@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import ncfree.freeprob as freeprob
 from ncfree.freeprob import (
     CumulantModel,
     NcPolynomial,
+    boxed_inverse,
     check_free,
     m_from_r,
     moment_series,
@@ -17,7 +19,7 @@ from ncfree.freeprob import (
     r_transform,
 )
 from ncfree.ncpartition import DEFAULT_MAX_GROUND_SET, nc_pairs
-from ncfree.series import Series, boxed_convolve, coef, moebius, zeta
+from ncfree.series import MAX_SERIES_WORDS, Series, boxed_convolve, coef, moebius, zeta
 from helpers import (
     cumulant_of_elements,
     moment_elements,
@@ -161,6 +163,23 @@ def test_conversions_refuse_order_past_cap_up_front(monkeypatch, s):
     for call in (r_transform, m_from_r):
         with pytest.raises(ValueError, match=f"order {order} exceeds the cap of"):
             call(f)
+    assert calls == []
+
+
+def test_conversions_refuse_an_alphabet_past_the_word_cap_up_front(monkeypatch):
+    # 200 + 200^2 + 200^3 + 200^4 words to walk, past the cap of zeta(200, 4):
+    # refused before any state or cumulant, however sparse the series
+    calls = []
+    monkeypatch.setattr(freeprob, "_phi_numerator", lambda *a: calls.append("phi") or 0)
+    monkeypatch.setattr(freeprob, "_scaled_cumulant", lambda *a, **k: calls.append("kappa") or 0)
+    sparse = Series.of(200, 4, {(1,): 1, (1, 2): 3})
+    invertible = Series.of(200, 4, {**{(r,): 1 for r in range(1, 201)}, (1, 2): 3})
+    message = f"alphabet 200 to order 4 has more than {MAX_SERIES_WORDS} words"
+    for call, f in ((r_transform, sparse), (m_from_r, sparse), (boxed_inverse, invertible)):
+        started = time.process_time()
+        with pytest.raises(ValueError, match=message):
+            call(f)
+        assert time.process_time() - started < 1.0
     assert calls == []
 
 
