@@ -310,22 +310,18 @@ def _cmd_rcyclic(args) -> int:
         top = min(top, DEFAULT_MAX_GROUND_SET)  # the convolutions' NC(n) cap
     if not 1 <= order <= top:
         raise ValueError(f"{args.action} needs order in 1..{top}, got {order}")
-    if args.action == "check":
-        ok, witness = is_rcyclic(fam, order)
-        if ok:
-            print("PASS\trcyclic")
-            return 0
+    if args.action != "check":
+        _warn_if_costly(spec.s * spec.d, order)
+    ok, witness = is_rcyclic(fam, order)
+    if not ok:
         rword, pairs = witness
         print("FAIL\trcyclic")
         _print_witness(_fmt_word(rword), _fmt_pairs(pairs))
         return 1
-    _warn_if_costly(spec.s * spec.d, order)
-    try:
-        f = determining_series(fam, order)
-    except ValueError as exc:
-        print("FAIL\trcyclic")
-        _print_witness(exc)
-        return 1
+    if args.action == "check":
+        print("PASS\trcyclic")
+        return 0
+    f = determining_series(fam, order)
     if args.action == "determining-series":
         out = to_tsv(f, pair_d=spec.d)
     elif args.action == "moments":
@@ -422,8 +418,14 @@ def _cmd_mc(args) -> int:
     return 1 if failed else 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    # a rejected command line raises for run() to report; subparsers share the class
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ncfree",
         description="Exact engine for block-matrix families with cyclic cumulants",
     )
@@ -474,16 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:
+        # --help prints to stdout and exits 0
+        return int(exc.code or 0)
     except (ValueError, OSError) as exc:
-        # every ValueError is bad input, a usage error: the library's, SpecError
-        # and the handlers' own argument checks; this is the one error line
+        # every ValueError is bad input, a usage error: argparse's, the library's,
+        # SpecError and the handlers' own argument checks; this is the one error line
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

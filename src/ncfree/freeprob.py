@@ -1,7 +1,8 @@
 """Joint distributions presented by their free cumulants.
 
-A model fixes m generators and a sparse table of joint cumulants (word ->
-rational).  The state of a word is the sum over non-crossing partitions of
+A model of m generators is a `Series` over m letters (`CumulantModel` by
+name) whose coefficients, a sparse table word -> rational, are its joint
+cumulants.  The state of a word is the sum over non-crossing partitions of
 the products of table entries on the restricted subwords; polynomials in the
 generators are evaluated by linearity.  The state is not assumed tracial.
 
@@ -43,7 +44,6 @@ from .series import (
     _kernel_inverse,
     _within_cap,
     _words_by_length,
-    over_lcm,
 )
 
 Word = tuple[int, ...]
@@ -52,52 +52,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@frozen
-class CumulantModel:
-    """m generators with joint cumulants given sparsely up to a fixed order."""
-
-    generators: int
-    order: int
-    items: tuple[tuple[Word, Fraction], ...]
-
-    @classmethod
-    def of(
-        cls, generators: int, order: int, table: Mapping[Word, Fraction | int]
-    ) -> "CumulantModel":
-        if generators < 1 or order < 1:
-            raise ValueError("need at least one generator and positive order")
-        norm: dict[Word, Fraction] = {}
-        for w, v in table.items():
-            word = tuple(w)
-            if not 1 <= len(word) <= order:
-                raise ValueError(f"cumulant word {word} outside order 1..{order}")
-            if any(not 1 <= g <= generators for g in word):
-                raise ValueError(f"letters of {word} out of range 1..{generators}")
-            val = Fraction(v)
-            if val:
-                norm[word] = val
-        items = tuple(sorted(norm.items(), key=lambda kv: (len(kv[0]), kv[0])))
-        return cls(generators, order, items)
-
-    @cached_property
-    def table(self) -> dict[Word, Fraction]:
-        return dict(self.items)
-
-    @cached_property
-    def numerators(self) -> tuple[int, dict[Word, int]]:
-        """(L, table times L): the lcm L of the table's denominators, and every
-        cumulant as an integer numerator over it."""
-        return over_lcm(self.items)
-
-    @cached_property
-    def prefixes(self) -> frozenset[Word]:
-        """Every nonempty prefix of a table word, table words included."""
-        return frozenset(w[:k] for w, _ in self.items for k in range(1, len(w) + 1))
-
-    @cached_property
-    def _phi_cache(self) -> dict[Word, int]:
-        # word -> its state times L^len(word)
-        return {}
+CumulantModel = Series  # a cumulant model is the series of its joint cumulants
 
 
 @frozen
@@ -205,7 +160,7 @@ def _phi_numerator(model: CumulantModel, word: Word) -> int:
         raise ValueError(f"word of length {n} exceeds model order {model.order}")
     if n > DEFAULT_MAX_GROUND_SET:
         raise ValueError(f"word of length {n} exceeds the cap of {DEFAULT_MAX_GROUND_SET} letters")
-    den, table = model.numerators
+    den, table = model.numerators.denominator, model.numerators.by_word
     prefixes = model.prefixes
     acc = 0
     # (last position in V, letters of word|V, product of the closed gaps' states)
@@ -230,7 +185,7 @@ def _phi_numerator(model: CumulantModel, word: Word) -> int:
 def _terms_state(model: CumulantModel, terms: Iterable[tuple[Word, int]], deg: int) -> int:
     # The state of a sum of c * word (integer terms) times L^deg; deg bounds
     # every word's length.
-    den = model.numerators[0]
+    den = model.numerators.denominator
     return sum(c * _phi_numerator(model, w) * den ** (deg - len(w)) for w, c in terms)
 
 
@@ -239,7 +194,7 @@ def _product_state(
 ) -> int:
     # The state of the product of the factors (integer term lists) times
     # L^deg, summed over one term per factor; deg bounds every word's length.
-    den = model.numerators[0]
+    den = model.numerators.denominator
     acc = 0
     for choice in itertools.product(*factors):
         coeff = 1
@@ -304,7 +259,7 @@ def phi_word(model: CumulantModel, w: Iterable[int]) -> Fraction:
     than the model order or than DEFAULT_MAX_GROUND_SET raise ValueError.
     """
     word = tuple(w)
-    return Fraction(_phi_numerator(model, word), model.numerators[0] ** len(word))
+    return Fraction(_phi_numerator(model, word), model.numerators.denominator ** len(word))
 
 
 def phi_poly(model: CumulantModel, p: NcPolynomial) -> Fraction:
@@ -313,7 +268,7 @@ def phi_poly(model: CumulantModel, p: NcPolynomial) -> Fraction:
     and divided once."""
     deg = p.degree()
     p_den, (terms,) = integer_terms([p])
-    return Fraction(_terms_state(model, terms, deg), p_den * model.numerators[0] ** deg)
+    return Fraction(_terms_state(model, terms, deg), p_den * model.numerators.denominator**deg)
 
 
 def moment_series(
@@ -334,7 +289,7 @@ def moment_series(
     s = len(elements)
     if s < 1:
         raise ValueError("need at least one element")
-    den = model.numerators[0]
+    den = model.numerators.denominator
     p_den, terms = integer_terms(elements)
     out: dict[Word, Fraction] = {}
     stack = [((r,), dict(terms[r - 1])) for r in range(s, 0, -1)]
@@ -421,20 +376,20 @@ def boxed_inverse(f: Series) -> Series:
 def m_from_r(r: Series) -> Series:
     """Moment series of a cumulant series.
 
-    The moment of a word is its state in the model whose cumulant table is
-    r, so each word of the alphabet up to the order is one first-block
-    recursion over the table's prefixes, on integers (see `phi_word`).
-    Equals the boxed convolution of r with the zeta series.  An order above
-    DEFAULT_MAX_GROUND_SET, or more words or letters over the alphabet than
-    the caps of `series.zeta`, raises ValueError before any state is computed.
+    The moment of a word is its state in r read as a cumulant model, whose
+    state cache then lives on r; each word of the alphabet up to the order
+    is one first-block recursion over r's prefixes, on integers (see
+    `phi_word`).  Equals the boxed convolution of r with the zeta series.
+    An order above DEFAULT_MAX_GROUND_SET, or more words or letters over the
+    alphabet than the caps of `series.zeta`, raises ValueError before any
+    state is computed.
     """
     _within_cap(r.order)
-    model = CumulantModel(r.alphabet, r.order, r.items)
-    den = model.numerators[0]
+    den = r.numerators.denominator
     out: dict[Word, Fraction] = {}
     for n, words in _words_by_length(r.alphabet, r.order):
         for w in words:
-            num = _phi_numerator(model, w)
+            num = _phi_numerator(r, w)
             if num:
                 out[w] = Fraction(num, den**n)
     return Series.of(r.alphabet, r.order, out)
@@ -474,9 +429,9 @@ def product_cumulant(model: CumulantModel, letters: Sequence[int], m: int) -> Fr
         raise ValueError("need at least two arguments")
     if not 1 <= m <= n - 1:
         raise ValueError(f"merge position must be in 1..{n - 1}, got {m}")
-    if any(not 1 <= g <= model.generators for g in word):
+    if any(not 1 <= g <= model.alphabet for g in word):
         raise ValueError("letters out of range")
-    table = model.table
+    table = model.coeffs
 
     def k(sub: Word) -> Fraction:
         return table.get(sub, _ZERO)

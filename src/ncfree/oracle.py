@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ._frozen import frozen
 from .ncpartition import Partition
@@ -244,7 +244,7 @@ def _suite_freeprob(order: int) -> list[OracleReport]:
     moments = dict(mom.coeffs)
     back = cumulants_by_inversion(moments, 1, min(order, MAX_INVERSION_ORDER))
     want_table = {
-        w: v for w, v in model.table.items() if len(w) <= min(order, MAX_INVERSION_ORDER)
+        w: v for w, v in model.coeffs.items() if len(w) <= min(order, MAX_INVERSION_ORDER)
     }
     reports.append(
         OracleReport.compare(

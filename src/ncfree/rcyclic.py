@@ -101,7 +101,7 @@ class MatrixFamily:
     @classmethod
     def from_generator_entries(cls, d: int, s: int, model: CumulantModel) -> "MatrixFamily":
         """Each entry (r, i, j) is its own generator under the standard layout."""
-        if model.generators < s * d * d:
+        if model.alphabet < s * d * d:
             raise ValueError(f"model needs at least {s * d * d} generators")
         grids = tuple(
             tuple(
@@ -162,7 +162,7 @@ def _nonzero_chains(ents: _Entries, n_max: int):
         if form is not None and form[0]:
             holders.setdefault(form[1], []).append((*tag, form[0]))
     p_den, l_den = ents.dens
-    for word, num in ents.model.numerators[1].items():
+    for word, num in ents.model.numerators.by_word.items():
         n = len(word)
         if n > n_max:
             break
@@ -354,13 +354,13 @@ def _entries(model: CumulantModel, grids: Sequence[Sequence[Sequence[NcPolynomia
     d = len(grids[0])
     tags = [(t // (d * d) + 1, t // d % d + 1, t % d + 1) for t in range(len(polys))]
     degs = [p.degree() for p in polys]
-    gens = model.generators
+    gens = model.alphabet
     for p in polys:
         bad = [g for w, _ in p.items for g in w if not 1 <= g <= gens]
         if bad:
             raise ValueError(f"letter {bad[0]} of entry {p.items} out of range 1..{gens}")
     p_den, terms = integer_terms(polys)
-    l_den, numerators = model.numerators
+    l_den, numerators = model.numerators.denominator, model.numerators.by_word
     forms = [
         (ts[0][1], ts[0][0][0]) if len(ts) == 1 and len(ts[0][0]) == 1
         else None if ts else (0, 0)

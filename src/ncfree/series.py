@@ -74,7 +74,12 @@ def over_lcm(items: Iterable[tuple[Word, Fraction]]) -> tuple[int, dict[Word, in
 
 @frozen
 class Series:
-    """Sparse truncated series; items are sorted by word length then word."""
+    """Sparse truncated series; items are sorted by word length then word.
+
+    The series of joint cumulants over m letters is the cumulant model of m
+    generators (`freeprob.CumulantModel`); `prefixes` and `_phi_cache` serve
+    only that role.
+    """
 
     alphabet: int
     order: int
@@ -113,6 +118,16 @@ class Series:
         for w, num in by_word.items():
             by_length.setdefault(len(w), []).append((w, num))
         return Numerators(den, by_word, {n: tuple(rows) for n, rows in by_length.items()})
+
+    @cached_property
+    def prefixes(self) -> frozenset[Word]:
+        """Every nonempty prefix of a stored word, stored words included."""
+        return frozenset(w[:k] for w, _ in self.items for k in range(1, len(w) + 1))
+
+    @cached_property
+    def _phi_cache(self) -> dict[Word, int]:
+        # word -> its state as a model times L^len(word) (`freeprob._phi_numerator`)
+        return {}
 
 
 def coef(f: Series, w: Iterable[int]) -> Fraction:

@@ -551,7 +551,7 @@ def _chain_cumulant(parsed, model, rword: Word, pairs: Sequence[tuple[int, int]]
         c, letter = ent
         coeff *= c
         letters.append(letter)
-    val = model.table.get(tuple(letters), _ZERO)
+    val = model.coeffs.get(tuple(letters), _ZERO)
     return coeff * val
 
 
@@ -628,7 +628,7 @@ def _chain_value(parsed_chain, model: CumulantModel, pairs: Sequence[tuple[int, 
         c, letter = ent
         coeff *= c
         letters.append(letter)
-    return coeff * model.table.get(tuple(letters), _ZERO)
+    return coeff * model.coeffs.get(tuple(letters), _ZERO)
 
 
 def dense_check_chain_hypothesis(
@@ -728,9 +728,9 @@ def operator_words(draw) -> list[OperatorMatrix]:
     of the family, its zero, a scaled copy, a product of two of them, or one
     of them plus a scalar."""
     fam = draw(scalar_generator_families())
-    short = st.lists(st.integers(1, fam.model.generators), min_size=1, max_size=2).map(tuple)
-    table = {**fam.model.table, **draw(st.dictionaries(short, mixed_values(), max_size=3))}
-    model = CumulantModel.of(fam.model.generators, 8, table)
+    short = st.lists(st.integers(1, fam.model.alphabet), min_size=1, max_size=2).map(tuple)
+    table = {**fam.model.coeffs, **draw(st.dictionaries(short, mixed_values(), max_size=3))}
+    model = CumulantModel.of(fam.model.alphabet, 8, table)
     d = fam.d
     mats = [
         OperatorMatrix.of(model, [[fam.entry(r, i, j) for j in range(1, d + 1)]
@@ -794,7 +794,7 @@ def slow_phi_word(model: CumulantModel, word: Word) -> Fraction:
     for p in enumerate_nc(len(word)):
         term = _ONE
         for block in p.blocks:
-            term *= model.table.get(tuple(word[e - 1] for e in block), _ZERO)
+            term *= model.coeffs.get(tuple(word[e - 1] for e in block), _ZERO)
         acc += term
     return acc
 
@@ -1015,7 +1015,7 @@ def nested_words(draw, model: CumulantModel, max_len: int) -> Word:
     blocks meet empty gaps at the start, in the middle and at the end as well
     as filled ones."""
     target = draw(st.integers(max_len // 2, max_len))
-    pool = [w for w, _ in model.items] + [(g,) for g in range(1, model.generators + 1)]
+    pool = [w for w, _ in model.items] + [(g,) for g in range(1, model.alphabet + 1)]
     word: Word = ()
     while len(word) < target:
         piece = draw(st.sampled_from([p for p in pool if len(word) + len(p) <= target]))

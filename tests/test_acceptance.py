@@ -197,7 +197,7 @@ def test_criterion_06_chain_cumulant_factorization(capsys):
             fam = random_cyclic_table(rng, 2, s, 5, per_length=3)
             d = fam.d
             model, _ = model_from_cyclic_table(fam)
-            table = model.table
+            table = model.coeffs
             f = determining_series(fam)
             g = geometric(d, fam.order)
             for n in range(2, 6):

@@ -108,9 +108,9 @@ def test_emit_parse_round_trip():
 
 def test_build_model_expands_shorthand():
     model, fam = build_model(parse_spec(MIXED_SPEC))
-    assert model.generators == 4
+    assert model.alphabet == 4
     # radius 2 means k2 = 1 on each declared slot
-    assert model.table == {
+    assert model.coeffs == {
         (1, 1): Fraction(1),
         (4, 4): Fraction(1),
         (2, 3): Fraction(1),
@@ -177,6 +177,14 @@ def test_cli_rcyclic_check_pass_and_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("FAIL\trcyclic")
     assert "WITNESS\t" in out
+
+
+@pytest.mark.parametrize("action", ["moments", "rtransform", "determining-series", "check"])
+def test_cli_rcyclic_witness_line_is_one_format(action, tmp_path, capsys):
+    bad = spec_file(tmp_path, "order 2\ndim 2\nmatrices 1\ncumulant 1:1,2 = 1\n")
+    code = run(["rcyclic", action, "--spec", bad])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "FAIL\trcyclic\nWITNESS\t1\t1,2\n", "")
 
 
 def test_cli_check_amalg_freeness(tmp_path, capsys):
@@ -323,9 +331,12 @@ def test_cli_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_usage_error_exit_code(capsys):
-    assert run(["series", "--kind", "Nope", "--order", "2"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [["--help"], ["series", "--help"]])
+def test_cli_help_exits_zero_on_stdout(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.startswith("usage: ncfree")
 
 
 def assert_usage_error(code, capsys):
@@ -339,6 +350,16 @@ SHORTHAND_HEAD = "order 4\ndim 2\nmatrices 1\n"
 
 
 CLI_ERROR_CASES = [
+    # the command lines argparse rejects
+    (None, [], "the following arguments are required: command"),
+    (None, ["series", "--kind", "Nope", "--order", "2"],
+     "argument --kind: invalid choice: 'Nope' "
+     "(choose from 'Zeta', 'Moebius', 'Delta', 'Gd', 'Hd')"),
+    (None, ["rcyclic", "check"], "the following arguments are required: --spec"),
+    (None, ["series", "--kind", "Zeta", "--order", "x"],
+     "argument --order: invalid int value: 'x'"),
+    (None, ["series", "--kind", "Zeta", "--order", "2", "--bogus"],
+     "unrecognized arguments: --bogus"),
     # the argument checks of the subcommand handlers
     (None, ["series", "--kind", "Gd", "--d", "0", "--order", "3"],
      "--d must be positive for Gd/Hd"),

@@ -41,12 +41,14 @@ CIRCULAR = CumulantModel.of(2, 8, {(1, 2): 1, (2, 1): 1})
 
 
 def test_model_of_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alphabet size must be positive, got 0"):
         CumulantModel.of(0, 3, {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"word \(1, 1, 1, 1\) longer than order 3"):
         CumulantModel.of(2, 3, {(1, 1, 1, 1): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"letters of \(3,\) out of range 1..2"):
         CumulantModel.of(2, 3, {(3,): 1})
+    with pytest.raises(ValueError, match="series have no constant term"):
+        CumulantModel.of(2, 3, {(): 1})
 
 
 def test_polynomial_arithmetic():
@@ -215,7 +217,7 @@ def test_product_cumulant_two_into_one():
     for t in range(10):
         rng = random.Random(40 + t)
         model = random_model(rng, 2, 3, per_length=3)
-        k = model.table
+        k = model.coeffs
         lhs = product_cumulant(model, (1, 2), 1)
         assert lhs == k.get((1, 2), 0) + k.get((1,), 0) * k.get((2,), 0)
 
@@ -244,10 +246,14 @@ def test_product_cumulant_validates_position():
 def test_moment_cumulant_roundtrip(seed):
     rng = random.Random(seed)
     model = random_model(rng, 2, 4, per_length=3)
-    m = moment_series(model, [NcPolynomial.generator(1), NcPolynomial.generator(2)], order=4)
-    # the R-transform of the generator family recovers the stored table
+    generators = [NcPolynomial.generator(1), NcPolynomial.generator(2)]
+    m = moment_series(model, generators, order=4)
+    # the R-transform of the generator family recovers the stored table, and
+    # that cumulant series serves as the model again
     r = r_transform(m)
-    assert r.coeffs == model.table
+    assert r.coeffs == model.coeffs
+    assert r == model
+    assert moment_series(r, generators, order=4) == m
 
 
 @settings(max_examples=80, deadline=None)

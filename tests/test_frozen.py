@@ -12,7 +12,7 @@ from ncfree.rcyclic import MatrixFamily, RCyclicFamily
 from ncfree.series import Series
 
 ONE, TWO = Fraction(1), Fraction(2)
-MODEL = CumulantModel(generators=1, order=2, items=(((1, 1), ONE),))
+MODEL = CumulantModel(alphabet=1, order=2, items=(((1, 1), ONE),))
 X = NcPolynomial(items=(((1,), TWO),))
 CIRCULAR = CircularDecl(r=1, i=1, j=2, radius=TWO)
 
@@ -21,7 +21,6 @@ CIRCULAR = CircularDecl(r=1, i=1, j=2, radius=TWO)
 RECORDS = [
     (Partition, dict(n=2, blocks=((1, 2),)), ("blocks", ((1,), (2,)))),
     (Series, dict(alphabet=1, order=2, items=(((1,), ONE),)), ("order", 3)),
-    (CumulantModel, dict(generators=1, order=2, items=(((1, 1), ONE),)), ("generators", 2)),
     (NcPolynomial, dict(items=(((1,), TWO),)), ("items", ())),
     (MatrixFamily, dict(d=1, s=1, model=MODEL, grids=(((X,),),)), ("grids", (((NcPolynomial(()),),),))),
     (RCyclicFamily, dict(d=1, s=1, order=2, items=((((1, 1), (1, 1)), ONE),)), ("order", 3)),

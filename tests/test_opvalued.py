@@ -155,7 +155,7 @@ def test_generic_matches_scalar_case():
         for n in range(1, 4):
             for word in itertools.product((1, 2), repeat=n):
                 got = opvalued_cumulant_generic([mats[r] for r in word], "B")
-                assert got.entry(1, 1) == model.table.get(word, Fraction(0))
+                assert got.entry(1, 1) == model.coeffs.get(word, Fraction(0))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -298,7 +298,7 @@ def test_dcumulant_data_matches_recursion_off_rcyclic_tables(d, s, order):
         assert data == recursive_dcumulant_data(mats, order)
         # the coordinates are not the closed chains' scalar cumulants, so
         # the vanishing open segments carry weight
-        table = mats[0].model.table
+        table = mats[0].model.coeffs
         plain = {}
         for n in range(1, order + 1):
             for rword in itertools.product(range(1, s + 1), repeat=n):

@@ -264,8 +264,8 @@ def test_closure_matches_enumeration_on_closure_shapes(d, s, budget):
         injected, broken = seed % 2, seed // 2 % 2
         if injected:
             word = tuple(rng.randint(1, s * d * d) for _ in range(rng.randint(2, budget)))
-            table = {**model.table, word: Fraction(1, 3)}
-            model = CumulantModel.of(model.generators, budget, table)
+            table = {**model.coeffs, word: Fraction(1, 3)}
+            model = CumulantModel.of(model.alphabet, budget, table)
             fam = MatrixFamily.of(d, s, model, fam.grids)
         a = [[fam.entry(1, i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
         lam = [rng.choice(VALUES) for _ in range(d)]
